@@ -1,28 +1,26 @@
-"""Wall-clock lane: real execution time across the physical engines.
+"""Wall-clock lane: real execution time of the engine against the row pull.
 
 Unlike every other experiment in this package, which measures the
 simulated ``rows_touched`` currency, this one measures *actual* Python
-wall time.  The same statements are executed under all three physical
-engines (``Database(engine="row")`` — interpreted row-at-a-time pull —
-``engine="batch"`` — chunked pull through plan-compiled expression
-closures — and ``engine="columnar"`` — column-array chunks with
-selection vectors and fused predicates) and the per-query best-of-N
-times are compared.  All engines must return byte-identical rows and
+wall time.  Every statement's cached plan is executed two ways: down its
+own pull path (``engine`` — columnar chunks with zone maps and fused
+kernels for scan-rooted plans, compiled rows for index probes and
+stop-after-N plans; see :mod:`repro.sqldb.plan.physical`) and forced
+down the compiled row-at-a-time pull (``row``), and the per-query
+best-of-N times are compared.  Both must return byte-identical rows and
 identical ``rows_touched``; the benchmark verifies that on every query
 (``match``), so a speedup can never come from computing something
-different.
+different.  Both are timed at the plan (parse, plan cache and
+statement bookkeeping excluded), so the ratio compares pull paths only.
 
 Two lanes:
 
 * **synthetic** — a seeded two-table microbenchmark (scan+filter with a
   chunk-order-correlated range bound, a filtered join, projection
   arithmetic, and a grouped aggregate over the dictionary-encoded label
-  column) sized to make interpreter dispatch the dominant cost.  This is
-  where the headline >=2x scan/filter speedup over the row engine — and
-  the columnar engine's >=1.5x over batch — is asserted, where the
-  zone-map ``chunks_skipped`` count is recorded, and where the
-  dictionary-code group-by path (``group_filter_agg``) must hold
-  columnar >= batch.
+  column) sized to make per-row dispatch the dominant cost.  This is
+  where :data:`SPEEDUP_FLOORS` is gated and where the zone-map
+  ``chunks_skipped`` count is recorded.
 * **apps** — the itracker/openmrs report pages and the TPC-C range
   reports (``REPORT_QUERIES`` + ``RANGE_REPORT_QUERIES``), i.e. the
   statements the rest of the harness actually runs.  These are small
@@ -30,9 +28,8 @@ Two lanes:
 
 ``tools/bench_wallclock.py`` wraps this as a CLI and writes
 ``BENCH_wallclock.json`` at the repo root — the per-PR wall-clock
-trajectory; ``benchmarks/test_wallclock.py`` smoke-asserts engine
-agreement and the CI job gates on the scan/filter microbench for both
-chunked engines.
+trajectory; ``benchmarks/test_wallclock.py`` smoke-asserts agreement
+and the CI job gates :data:`SPEEDUP_FLOORS`.
 
 The result cache is disabled throughout (``ResultCache(0)``): a cache
 hit would time the cache, not the engine.
@@ -47,15 +44,23 @@ from repro.apps.tpcc import data as tpcc_data
 from repro.apps.tpcc import reports as tpcc_reports
 from repro.bench.report import format_table
 from repro.sqldb import Database
+from repro.sqldb.parser import parse
 from repro.sqldb.result_cache import ResultCache
 
 SYNTHETIC_ROWS = 20000
 SMOKE_SYNTHETIC_ROWS = 4000
 
+#: Minimum engine/row speedup per synthetic series.  The floors are the
+#: batch/row ratios the retired chunked-row engine held over the retired
+#: interpreted row engine in the last three-engine BENCH_wallclock.json;
+#: the row pull they are now measured against already runs the compiled
+#: closures that engine used, so clearing them is a stricter bar.
+SPEEDUP_FLOORS = {"scan_filter": 3.385, "group_filter_agg": 2.352}
+
 SYNTHETIC_QUERIES = (
     (
         # The id bound correlates with insertion (and therefore chunk)
-        # order, so the columnar engine's zone maps prove most chunks
+        # order, so the chunks path's zone maps prove most chunks
         # irrelevant and skip them — the series that exercises chunk
         # skipping end to end (``chunks_skipped`` is recorded per query).
         "scan_filter",
@@ -75,7 +80,7 @@ SYNTHETIC_QUERIES = (
     ),
     (
         # GROUP BY over the low-cardinality dictionary-encoded label
-        # column with a range predicate: the columnar engine groups by
+        # column with a range predicate: the chunks path groups by
         # dictionary codes and runs compiled COUNT/SUM kernels per chunk.
         "group_filter_agg",
         "SELECT label, COUNT(*), SUM(amount) FROM events "
@@ -85,8 +90,8 @@ SYNTHETIC_QUERIES = (
 )
 
 
-def _build_synthetic(engine, n_rows):
-    db = Database("wallclock", result_cache_size=0, engine=engine)
+def _build_synthetic(n_rows):
+    db = Database("wallclock", result_cache_size=0)
     db.execute(
         "CREATE TABLE users (id INT PRIMARY KEY, name TEXT, segment INT)")
     db.execute(
@@ -129,93 +134,73 @@ APPS = (
 )
 
 
+def _best_of(run, inner, best):
+    start = perf_counter()
+    for _ in range(inner):
+        result = run()
+    return min(best, (perf_counter() - start) / inner), result
+
+
 def _time_query(db, sql, params, outer, inner):
-    """Best-of-``outer`` average time of ``inner`` executions, seconds.
+    """Time ``sql``'s cached plan on its own path and on the row pull:
+    best-of-``outer`` average of ``inner`` executions each, seconds.
 
-    The first (untimed) execution warms the plan cache, so the samples
-    measure execution alone — plan build cost is identical for all
-    engines and not what this lane tracks.
+    The untimed ``db.execute`` warms the plan cache, so the samples
+    measure execution alone — plan build cost is the same for both and
+    not what this lane tracks.  The two sides' samples alternate, so a
+    stretch of machine noise lands on both rather than on one.
     """
-    result = db.execute(sql, params)
-    best = float("inf")
+    db.execute(sql, params)
+    plan = db.executor.plan_for(parse(sql))
+    engine_seconds = row_seconds = float("inf")
     for _ in range(outer):
-        start = perf_counter()
-        for _ in range(inner):
-            result = db.execute(sql, params)
-        best = min(best, (perf_counter() - start) / inner)
-    return best, result
-
-
-def _compare(name, row_timing, batch_timing, columnar_timing):
-    row_seconds, row_result = row_timing
-    batch_seconds, batch_result = batch_timing
-    columnar_seconds, columnar_result = columnar_timing
-    identical = all(
-        other.rows == row_result.rows
-        and other.rows_touched == row_result.rows_touched
-        for other in (batch_result, columnar_result))
+        engine_seconds, engine = _best_of(
+            lambda: plan.execute(db, params), inner, engine_seconds)
+        row_seconds, row = _best_of(
+            lambda: plan.execute(db, params, path="rows"), inner,
+            row_seconds)
     return {
+        "path": plan.path,
+        "engine_ms": round(engine_seconds * 1000, 4),
         "row_ms": round(row_seconds * 1000, 4),
-        "batch_ms": round(batch_seconds * 1000, 4),
-        "columnar_ms": round(columnar_seconds * 1000, 4),
-        "speedup": round(row_seconds / batch_seconds, 3)
-        if batch_seconds else None,
-        "columnar_speedup": round(row_seconds / columnar_seconds, 3)
-        if columnar_seconds else None,
-        "columnar_vs_batch": round(batch_seconds / columnar_seconds, 3)
-        if columnar_seconds else None,
-        "rows": len(batch_result.rows),
-        "rows_touched": batch_result.rows_touched,
-        "chunks_skipped": columnar_result.chunks_skipped,
-        "match": identical,
+        "speedup": round(row_seconds / engine_seconds, 3)
+        if engine_seconds else None,
+        "rows": len(engine.rows),
+        "rows_touched": engine.rows_touched,
+        "chunks_skipped": engine.chunks_skipped,
+        "match": (engine.rows == row.rows
+                  and engine.rows_touched == row.rows_touched),
     }
 
 
 def run(smoke=False):
-    """Time every query under the three engines; returns a JSON-able dict."""
+    """Time every query on the engine and the row pull; returns a
+    JSON-able dict."""
     n_rows = SMOKE_SYNTHETIC_ROWS if smoke else SYNTHETIC_ROWS
     outer = 3 if smoke else 5
     inner = 5 if smoke else 20
 
-    synthetic = {}
-    row_db = _build_synthetic("row", n_rows)
-    batch_db = _build_synthetic("batch", n_rows)
-    columnar_db = _build_synthetic("columnar", n_rows)
-    for name, sql, params in SYNTHETIC_QUERIES:
-        # One execution per sample: the synthetic table is big enough
-        # that a single run is far above timer resolution.
-        synthetic[name] = _compare(
-            name,
-            _time_query(row_db, sql, params, outer, 1),
-            _time_query(batch_db, sql, params, outer, 1),
-            _time_query(columnar_db, sql, params, outer, 1))
+    db = _build_synthetic(n_rows)
+    # One execution per sample: the synthetic table is big enough that a
+    # single run is far above timer resolution.
+    synthetic = {name: _time_query(db, sql, params, outer, 1)
+                 for name, sql, params in SYNTHETIC_QUERIES}
 
     apps = {}
     for app_name, build, queries in APPS:
         db = build()
         db.result_cache = ResultCache(0)
-        per_query = {}
-        totals = {"row": 0.0, "batch": 0.0, "columnar": 0.0}
-        for query_name, sql, params in queries:
-            timings = {}
-            for engine in ("row", "batch", "columnar"):
-                db.engine = engine
-                timings[engine] = _time_query(db, sql, params, outer, inner)
-                totals[engine] += timings[engine][0]
-            per_query[query_name] = _compare(
-                query_name, timings["row"], timings["batch"],
-                timings["columnar"])
+        per_query = {name: _time_query(db, sql, params, outer, inner)
+                     for name, sql, params in queries}
+        engine_ms = sum(q["engine_ms"] for q in per_query.values())
+        row_ms = sum(q["row_ms"] for q in per_query.values())
         apps[app_name] = {
             "queries": per_query,
             "totals": {
-                "row_ms": round(totals["row"] * 1000, 4),
-                "batch_ms": round(totals["batch"] * 1000, 4),
-                "columnar_ms": round(totals["columnar"] * 1000, 4),
-                "speedup": round(totals["row"] / totals["batch"], 3)
-                if totals["batch"] else None,
-                "columnar_vs_batch": round(
-                    totals["batch"] / totals["columnar"], 3)
-                if totals["columnar"] else None,
+                "engine_ms": round(engine_ms, 4),
+                "row_ms": round(row_ms, 4),
+                "speedup": round(row_ms / engine_ms, 3)
+                if engine_ms else None,
             },
         }
 
@@ -225,33 +210,55 @@ def run(smoke=False):
             "synthetic_rows": n_rows,
             "outer_repeats": outer,
             "inner_repeats": inner,
-            "batches_executed": batch_db.executor.batches_executed,
+            "speedup_floors": SPEEDUP_FLOORS,
         },
         "synthetic": synthetic,
         "apps": apps,
     }
 
 
+def check(result):
+    """The regression gate: a list of failure messages (empty = pass).
+
+    Fails if any query's engine and row-pull results diverge, if a
+    synthetic series in :data:`SPEEDUP_FLOORS` falls below its floor, or
+    if zone maps skipped no chunks on the range-bounded scan/filter
+    microbench.
+    """
+    failures = []
+    for name, numbers in result["synthetic"].items():
+        if not numbers["match"]:
+            failures.append(f"synthetic:{name}: engine and row pull diverge")
+    for app, per_app in result["apps"].items():
+        for name, numbers in per_app["queries"].items():
+            if not numbers["match"]:
+                failures.append(f"{app}:{name}: engine and row pull diverge")
+    for name, floor in SPEEDUP_FLOORS.items():
+        speedup = result["synthetic"][name]["speedup"]
+        if speedup is None or speedup < floor:
+            failures.append(f"{name}: engine/row speedup {speedup} below "
+                            f"the {floor} floor")
+    if result["synthetic"]["scan_filter"]["chunks_skipped"] <= 0:
+        failures.append("scan_filter: zone maps skipped no chunks on the "
+                        "range-bounded microbench")
+    return failures
+
+
 def format_result(result):
     rows = []
+
+    def add(label, numbers):
+        rows.append((label, numbers.get("path", ""), numbers["row_ms"],
+                     numbers["engine_ms"], f"{numbers['speedup']}x",
+                     ("ok" if numbers["match"] else "MISMATCH")
+                     if "match" in numbers else ""))
+
     for name, numbers in result["synthetic"].items():
-        rows.append((f"synthetic:{name}", numbers["row_ms"],
-                     numbers["batch_ms"], numbers["columnar_ms"],
-                     f"{numbers['speedup']}x",
-                     f"{numbers['columnar_vs_batch']}x",
-                     "ok" if numbers["match"] else "MISMATCH"))
+        add(f"synthetic:{name}", numbers)
     for app, per_app in result["apps"].items():
         for query_name, numbers in per_app["queries"].items():
-            rows.append((f"{app}:{query_name}", numbers["row_ms"],
-                         numbers["batch_ms"], numbers["columnar_ms"],
-                         f"{numbers['speedup']}x",
-                         f"{numbers['columnar_vs_batch']}x",
-                         "ok" if numbers["match"] else "MISMATCH"))
-        totals = per_app["totals"]
-        rows.append((f"{app}:TOTAL", totals["row_ms"], totals["batch_ms"],
-                     totals["columnar_ms"], f"{totals['speedup']}x",
-                     f"{totals['columnar_vs_batch']}x", ""))
+            add(f"{app}:{query_name}", numbers)
+        add(f"{app}:TOTAL", per_app["totals"])
     return format_table(
-        ("query", "row ms", "batch ms", "col ms", "batch/row",
-         "col/batch", "results"), rows,
-        title="Wall-clock execution time — row vs. batch vs. columnar")
+        ("query", "path", "row ms", "engine ms", "engine/row", "results"),
+        rows, title="Wall-clock execution time — engine vs. row pull")

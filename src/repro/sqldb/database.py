@@ -29,29 +29,17 @@ class Database:
     (:mod:`repro.sqldb.result_cache`); pass ``0`` to disable caching
     entirely (differential baselines, re-execution-counting tests).
 
-    ``engine`` selects the physical execution engine: ``"batch"`` (the
-    default) pulls chunks of wide rows through plan-compiled expression
-    closures; ``"columnar"`` exchanges :class:`ColumnChunk` column arrays
-    with selection vectors and fused predicate/projection loops (see
-    :mod:`repro.sqldb.columnar`); ``"row"`` is the legacy interpreted
-    row-at-a-time pull, kept selectable for differential testing and the
-    wall-clock benchmark lane.  Results and ``rows_touched`` are
-    identical under all three — only real wall-clock time differs.  The
-    attribute may be flipped between statements; cached plans carry every
-    path, and compiled closures are bound per-call to the active engine's
-    chunk layout.
+    Execution has one engine with two pull paths, chosen per plan when
+    it is built (:mod:`repro.sqldb.plan.physical`): index point probes
+    and stop-after-N ``LIMIT`` plans pull wide rows through compiled
+    expression closures; every other plan exchanges columnar chunks
+    (:mod:`repro.sqldb.columnar`) with zone-map skipping and fused
+    predicate, projection and aggregate kernels.  Results and
+    ``rows_touched`` are identical on both paths.
     """
 
-    ENGINES = ("batch", "columnar", "row")
-
     def __init__(self, name="main", optimizer_options=None,
-                 result_cache_size=DEFAULT_RESULT_CACHE_LIMIT,
-                 engine="batch"):
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of "
-                "'batch', 'columnar', 'row'")
-        self.engine = engine
+                 result_cache_size=DEFAULT_RESULT_CACHE_LIMIT):
         self.name = name
         self.catalog = Catalog()
         self.tables = {}
@@ -121,14 +109,14 @@ class Database:
         With ``params`` the output gains a trailing ``ResultCache`` line
         reporting whether this exact (statement, parameters) execution
         would currently be served from the cross-request result cache,
-        plus the cache's cumulative counters, and an ``Engine`` line
-        naming the active execution engine; the probe is side-effect free
-        (counters and LRU order stay untouched).
+        plus the cache's cumulative counters; the probe is side-effect
+        free (counters and LRU order stay untouched).
 
         With ``analyze=True`` the plan is **executed** (with ``params`` or
-        none) and each physical operator line is annotated with its
-        produced-row count and inclusive wall time — the EXPLAIN ANALYZE
-        profiling surface.  The analyze run bypasses the result cache and
+        none), the header names the pull path that ran (``path=rows`` or
+        ``path=chunks``) and each physical operator line is annotated with
+        its produced-row count and inclusive wall time — the EXPLAIN
+        ANALYZE profiling surface.  The analyze run bypasses the result cache and
         statement counters: it measures the plan, it doesn't count as
         workload.
 
@@ -154,26 +142,12 @@ class Database:
                 f"\nResultCache [status={status!r}, hits={cache.hits}, "
                 f"misses={cache.misses}, "
                 f"invalidations={cache.invalidations}]")
-            rendered += (
-                f"\nEngine [name={self.engine!r}, "
-                f"batches_executed={self.executor.batches_executed}]")
         return rendered
 
     def result_cache_stats(self):
         """Hit/miss/invalidation/store counters for the cross-request
         result cache (plus current size)."""
         return self.result_cache.stats()
-
-    def engine_stats(self):
-        """Which execution engine is active and how much work it has done:
-        ``batches_executed`` counts every chunk that flowed through the
-        batch operators (0 forever under the row engine), so tests and
-        benchmarks can assert which path actually ran."""
-        return {
-            "engine": self.engine,
-            "batches_executed": self.executor.batches_executed,
-            "plans_built": self.executor.plans_built,
-        }
 
     def table_size(self, name):
         return len(self.tables_get(name))

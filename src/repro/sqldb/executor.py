@@ -23,6 +23,8 @@ Every execution returns an :class:`ExecResult` carrying the result rows plus
 simulated server turns that into database time.
 """
 
+from collections import OrderedDict
+
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.catalog import IndexInfo, TableSchema, Column
 from repro.sqldb.errors import SqlError
@@ -34,8 +36,9 @@ from repro.sqldb.storage import Table
 
 __all__ = ["ExecResult", "Executor"]
 
-# Cached physical plans per executor; cleared wholesale on overflow (the
-# workloads' hot sets are far smaller) and invalidated by catalog changes.
+# Cached physical plans per executor, least recently used evicted first
+# (like the parse cache), so a stream of one-off statements cannot flush
+# the hot set; catalog changes invalidate the whole cache.
 _PLAN_CACHE_LIMIT = 512
 
 
@@ -52,13 +55,9 @@ class Executor:
         # the database's optimizer options, so a hit is only possible when
         # the schema, the cardinality picture and the rule set the plan was
         # optimized under all still hold.
-        self._plans = {}
+        self._plans = OrderedDict()
         self._catalog_version = 0
         self.plans_built = 0  # optimize() invocations, for staleness tests
-        # Chunks that flowed through the batch engine's operators, summed
-        # over every plan execution — stays 0 under Database(engine="row"),
-        # which is how tests assert which execution path ran.
-        self.batches_executed = 0
 
     def execute(self, stmt, params=()):
         kind = type(stmt)
@@ -182,14 +181,17 @@ class Executor:
         """The cached optimized physical plan for a SELECT statement."""
         key = (self._catalog_version, self.db.catalog.stats_epoch.value,
                self.db.optimizer_options)
-        entry = self._plans.get(id(stmt))
+        plans = self._plans
+        entry = plans.get(id(stmt))
         if entry is not None and entry[1] == key:
+            plans.move_to_end(id(stmt))
             return entry[2]
         plan = plan_select(self.db, stmt)
         self.plans_built += 1
-        if len(self._plans) >= _PLAN_CACHE_LIMIT:
-            self._plans.clear()
-        self._plans[id(stmt)] = (stmt, key, plan)
+        plans[id(stmt)] = (stmt, key, plan)
+        plans.move_to_end(id(stmt))
+        if len(plans) > _PLAN_CACHE_LIMIT:
+            plans.popitem(last=False)
         return plan
 
     def _invalidate_plans(self):

@@ -30,13 +30,13 @@ a stale layout.
 
 **Columnar compilation** (:func:`compile_filter`, :func:`compile_project`,
 :func:`compile_aggregate_item_columnar`) lowers the same ASTs one level
-further for the columnar engine: instead of a per-row closure, a predicate
+further for the chunks path: instead of a per-row closure, a predicate
 becomes a function over a whole :class:`repro.sqldb.columnar.ColumnChunk`
 that returns the selection vector of rows evaluating to SQL TRUE.
 Internally every predicate node is ``node(chunk, sel, params) -> (t, u)``
 — the ascending index lists where the node is TRUE and UNKNOWN (FALSE is
 the remainder) — so AND/OR combine Kleene-exactly and preserve the row
-engine's short-circuit scope: AND evaluates its right operand only over
+closures' short-circuit scope: AND evaluates its right operand only over
 the left's TRUE∪UNKNOWN rows, OR only over the left's non-TRUE rows.
 Comparison leaves against a row-independent operand (literal or
 parameter) compile to generated fused loops (memoized per operator ×
@@ -50,9 +50,9 @@ materialized rows of the chunk — never a behaviour change.
 One documented divergence: fused evaluation runs column-at-a-time, so
 when *several* rows of one chunk would raise (mixed-type data smuggled
 past the typed storage layer), the row that wins the race — and thus the
-error message — can differ from the row engine's strictly row-at-a-time
-order.  Whether an error is raised at all, and the result when none is,
-are identical.
+error message — can differ from a strictly row-at-a-time order.  Whether
+an error is raised at all, its exception type, and the result when none
+is raised are identical (pinned by ``tests/sqldb/test_fused_errors.py``).
 """
 
 from repro.sqldb import ast_nodes as A
@@ -800,7 +800,7 @@ def _merge(a, b):
 
 
 def _and_node(lnode, rnode):
-    """Kleene AND with the row engine's short-circuit scope: the right
+    """Kleene AND with the row closures' short-circuit scope: the right
     operand is evaluated only where the left is TRUE or UNKNOWN."""
 
     def node(chunk, sel, params):
@@ -1390,7 +1390,7 @@ def compile_grouped_item_columnar(expr, positions, ambiguous):
     ``make()`` builds a fresh group state, ``update(acc, gidxs, chunk,
     live, params)`` folds a chunk's live rows in (``gidxs`` maps each
     live row to its group slot), ``final(state)`` emits the value.
-    Accumulation order is scan order — the same order the row engine's
+    Accumulation order is scan order — the same order the rows path's
     per-group row lists preserve — so float SUM/AVG results and
     first-of-equals MIN/MAX ties are bit-identical.
     """
@@ -1567,7 +1567,7 @@ def _prune_node(expr, positions, ambiguous):
                 if lr:
                     return _ALWAYS
                 if not lt and not lu:
-                    # Every row FALSE on the left: the row engine never
+                    # Every row FALSE on the left: row evaluation never
                     # evaluates the right operand (its errors included).
                     return _NEVER
                 rt, ru, rr = rnode(zone_of, params)

@@ -18,9 +18,9 @@ which are unknown at plan time by design: one cached plan serves every
 parameter value).
 
 Snapshot statistics are built **at plan time** (``table.column_store()``
-builds on demand) whichever engine will execute the plan — if only the
-columnar engine consulted them, the three engines would pick different
-join orders and ``rows_touched`` would stop being engine-invariant.  The
+builds on demand) whichever pull path will execute the plan — the path is
+itself chosen from the plan's shape, so statistics that depended on it
+would make plans, and ``rows_touched``, depend on how a plan runs.  The
 snapshot cache is invalidated by every table mutation, so a fresh plan
 always sees current-data statistics; a *cached* plan can hold estimates
 from an older snapshot until the stats epoch ticks — exactly the
@@ -122,9 +122,9 @@ def _snapshot_stats(db, table_name):
     """The table's columnar snapshot as a statistics source, or None.
 
     Builds the snapshot on demand (it is cached on the table until the
-    next mutation), under **every** engine: plans must not depend on
-    which engine executes them, or rows_touched would diverge across the
-    three-engine differential oracles.  The build cost is amortized by
+    next mutation), for every plan: plans must not depend on which pull
+    path executes them, or rows_touched would diverge between the paths
+    the differential oracles compare.  The build cost is amortized by
     the plan cache — planning only happens on a cache miss.
     """
     if table_name is None:

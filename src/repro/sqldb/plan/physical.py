@@ -1,4 +1,4 @@
-"""Vectorized physical operators with a row-at-a-time compat shim.
+"""Physical operators: columnar chunks for scans, compiled rows for probes.
 
 Two operator flavours mirror the two halves of a SELECT:
 
@@ -12,31 +12,34 @@ Two operator flavours mirror the two halves of a SELECT:
   :class:`DistinctOp`, :class:`SortOp`, :class:`LimitOp`) transform the
   materialized output relation via ``apply(run)``.
 
-Row sources implement **two execution protocols**:
+There is one execution engine with two pull paths, and the plan's shape
+picks one of them once, at build time (``PhysicalPlan.path``):
 
-``iter_batches(run)``
-    The default (batch) engine: operators exchange chunks of up to
-    :data:`CHUNK_SIZE` rows.  Scans materialize chunks directly from
-    storage; filters apply a predicate **compiled once per cached plan**
-    (:mod:`repro.sqldb.plan.compile`) over whole chunks; joins probe
-    chunk-wise.  This is the wall-clock fast path — per-row generator
-    resumption and expression-tree walks disappear from the hot loop.
+``iter_rows(run)`` — the **rows** path
+    A row-at-a-time pull of wide rows, with every predicate, join
+    condition, key and projection evaluated through the closures
+    :func:`repro.sqldb.plan.compile.compile_expr` builds once per cached
+    plan.  Plans whose base access is an :class:`IndexLookupOp` (primary
+    key and index point probes: a handful of rows, where per-chunk
+    machinery would cost more than it saves) and plans with a
+    ``limit_hint`` (stop-after-N: a chunked pull would overshoot the
+    cutoff and charge storage rows the cutoff never reads) run it.
 
-``iter_rows_interp(run)``
-    The legacy interpreted Volcano pull, one row at a time through
-    :func:`repro.sqldb.expressions.evaluate`.  Kept fully functional and
-    selectable (``Database(engine="row")``) so the wall-clock benchmark
-    lane and the differential oracle can compare both engines, and used
-    by **both** engines for ``limit_hint`` stop-after-N execution, where
-    chunked pulls would overshoot the cutoff and charge storage rows the
-    row engine never touches.
+``iter_cchunks(run)`` — the **chunks** path
+    Operators exchange :class:`repro.sqldb.columnar.ColumnChunk` column
+    arrays with selection vectors.  Sequential scans slice chunks off the
+    table's cached column store and skip chunks their zone maps rule
+    out; filters narrow selection vectors through fused predicate
+    kernels; hash joins gather and take column-wise; the nested-loop
+    joins transpose to rows for their per-pair work and back.  Every
+    other plan runs this path.
 
-``iter_rows(run)`` is the row-at-a-time compat shim, implemented over
-``iter_batches``.  ``rows_touched`` is engine-invariant by construction:
-rows are charged only where storage is read, both engines consume their
-sources to exhaustion (the only early stop — ``limit_hint`` — runs the
-interpreted path in both), so every figure's simulated cost is identical
-whichever engine produced it.
+``rows_touched`` is path-invariant by construction: rows are charged only
+where storage is read, and both paths consume their sources to exhaustion
+except under ``limit_hint``, which only the rows path honours.  Every
+plan can run either path (``PhysicalPlan.execute(..., path=...)``), which
+is how the differential oracles and the wall-clock lane compare them on
+the same plan.
 
 ``build_physical`` lowers an optimized logical tree into a
 :class:`PhysicalPlan`; ``PhysicalPlan.execute(db, params)`` returns an
@@ -67,12 +70,12 @@ from repro.sqldb.plan.compile import (compile_aggregate_item,
 from repro.sqldb.plan.planner import _AGGREGATE_NAMES
 from repro.sqldb.result import ExecResult
 
-# CHUNK_SIZE (rows per chunk in the chunked engines) lives in
-# repro.sqldb.columnar so zone maps are built at scan-slice granularity;
-# it is re-exported here for its historical home.  Large enough to
-# amortize per-chunk Python overhead, small enough that a chunk of
-# joined rows stays cache-friendly and LIMITed queries don't materialize
-# far past their cutoff.
+# CHUNK_SIZE (rows per chunk) lives in repro.sqldb.columnar so zone maps
+# are built at scan-slice granularity; it is re-exported here for its
+# historical home.
+
+#: The two pull paths (see the module docstring).
+PATHS = ("rows", "chunks")
 
 
 class PlanRun:
@@ -80,8 +83,7 @@ class PlanRun:
 
     __slots__ = ("db", "params", "sctx", "ctx", "rows_touched",
                  "_source_rows", "source_chunks", "out_columns", "out_rows",
-                 "has_aggregates", "prefetched_base_rows", "engine",
-                 "batches", "chunks_skipped")
+                 "has_aggregates", "prefetched_base_rows", "chunks_skipped")
 
     def __init__(self, db, params, sctx, prefetched_base_rows=None):
         self.db = db
@@ -90,7 +92,7 @@ class PlanRun:
         self.ctx = sctx.fresh_context()
         self.rows_touched = 0
         self._source_rows = None  # materialized rows entering projection
-        self.source_chunks = None  # ColumnChunks (columnar engine only)
+        self.source_chunks = None  # ColumnChunks (chunks path only)
         self.out_columns = None
         self.out_rows = None
         self.has_aggregates = False
@@ -98,18 +100,16 @@ class PlanRun:
         # of scanning storage (the batch shared-scan path): the scan already
         # happened once for the whole group, so no rows are charged here.
         self.prefetched_base_rows = prefetched_base_rows
-        self.engine = getattr(db, "engine", "batch")
-        self.batches = 0  # chunks that flowed through the batch operators
         self.chunks_skipped = 0  # chunks zone maps proved irrelevant
 
     @property
     def source_rows(self):
         """The materialized source relation as wide rows.
 
-        Under the columnar engine the source lands as ``source_chunks``;
-        result operators that stayed row-shaped (Sort, grouped
-        aggregation, interpreted fallbacks) transpose it here lazily —
-        fully columnar pipelines never pay for the rows.
+        On the chunks path the source lands as ``source_chunks``; result
+        operators that stay row-shaped (Sort, HAVING, shapes without a
+        fused form) transpose it here lazily — fully columnar pipelines
+        never pay for the rows.
         """
         rows = self._source_rows
         if rows is None and self.source_chunks is not None:
@@ -131,53 +131,33 @@ def _pad(row, offset, total_width):
     return values
 
 
-def _chunked(run, rows):
-    """Re-chunk a row stream into CHUNK_SIZE batches."""
-    chunk = []
-    append = chunk.append
-    for values in rows:
-        append(values)
-        if len(chunk) >= CHUNK_SIZE:
-            run.batches += 1
-            yield chunk
-            chunk = []
-            append = chunk.append
-    if chunk:
-        run.batches += 1
-        yield chunk
+def _row_chunks(rows, width):
+    """Carve a wide-row stream into fully-live CHUNK_SIZE ColumnChunks —
+    the chunks path's exit from operators whose work is row-shaped."""
+    rows = iter(rows)
+    while True:
+        part = list(islice(rows, CHUNK_SIZE))
+        if not part:
+            return
+        yield ColumnChunk.from_rows(part, width)
+
+
+def _chunk_rows(chunks):
+    """The live wide rows of a ColumnChunk stream, in order."""
+    for chunk in chunks:
+        yield from chunk.to_rows()
 
 
 # ---------------------------------------------------------------------------
 # Row sources
 # ---------------------------------------------------------------------------
 
-class RowSource:
-    """Base class for row sources: the row-at-a-time compat shim and the
-    columnar transpose shim."""
-
-    def iter_rows(self, run):
-        """Row-at-a-time view over the batch protocol."""
-        for chunk in self.iter_batches(run):
-            yield from chunk
-
-    def iter_cchunks(self, run):
-        """Columnar view over the batch protocol (transpose shim).
-
-        Operators without a native columnar path — the nested-loop joins,
-        whose per-pair work is row-shaped anyway — inherit this, so the
-        columnar engine is total over every plan shape.
-        """
-        total = run.sctx.total_width
-        for chunk in self.iter_batches(run):
-            yield ColumnChunk.from_rows(chunk, total)
-
-
-class _BaseTableScan(RowSource):
+class _BaseTableScan:
     """Shared scaffolding for base-table access operators.
 
     Subclasses define ``_pairs(run, table)`` yielding ``(row_id, row)``
     from storage; charging, padding, chunking, the shared-scan prefetch
-    and the zero-copy fast path live here so both engines stay in exact
+    and the zero-copy fast path live here so both paths stay in exact
     accounting agreement.
 
     Zero-copy fast path: when the table sits at offset 0 of a joined-row
@@ -200,12 +180,8 @@ class _BaseTableScan(RowSource):
 
     def iter_cchunks(self, run):
         if self.uses_prefetch and run.prefetched_base_rows is not None:
-            rows = run.prefetched_base_rows
-            total = run.sctx.total_width
-            for start in range(0, len(rows), CHUNK_SIZE):
-                run.batches += 1
-                yield ColumnChunk.from_rows(
-                    rows[start:start + CHUNK_SIZE], total)
+            yield from _row_chunks(run.prefetched_base_rows,
+                                   run.sctx.total_width)
             return
         table = run.db.tables_get(self.table_name)
         total = run.sctx.total_width
@@ -224,8 +200,8 @@ class _BaseTableScan(RowSource):
                 stop = min(start + CHUNK_SIZE, length)
                 # Skipped chunks are charged exactly as a scan would
                 # charge them: rows_touched is the storage-read cost
-                # model's currency and must stay engine-invariant —
-                # zone maps change wall-clock, never simulated cost.
+                # model's currency and must stay path-invariant — zone
+                # maps change wall-clock, never simulated cost.
                 run.rows_touched += stop - start
                 if zone_lists is not None:
 
@@ -241,7 +217,6 @@ class _BaseTableScan(RowSource):
                     if not must_scan:
                         run.chunks_skipped += 1
                         continue
-                run.batches += 1
                 if offset == 0 and width == total:
                     columns = [col[start:stop] for col in store.columns]
                 else:
@@ -254,13 +229,12 @@ class _BaseTableScan(RowSource):
         for start in range(0, len(pairs), CHUNK_SIZE):
             part = pairs[start:start + CHUNK_SIZE]
             run.rows_touched += len(part)
-            run.batches += 1
             lanes = list(zip(*[row for _, row in part]))
             columns = [None] * total
             columns[offset:offset + width] = [list(lane) for lane in lanes]
             yield ColumnChunk(columns, len(part), None)
 
-    def iter_rows_interp(self, run):
+    def iter_rows(self, run):
         if self.uses_prefetch and run.prefetched_base_rows is not None:
             yield from run.prefetched_base_rows
             return
@@ -275,31 +249,6 @@ class _BaseTableScan(RowSource):
         for _, row in self._pairs(run, table):
             run.rows_touched += 1
             yield _pad(row, offset, total)
-
-    def iter_batches(self, run):
-        if self.uses_prefetch and run.prefetched_base_rows is not None:
-            rows = run.prefetched_base_rows
-            for start in range(0, len(rows), CHUNK_SIZE):
-                run.batches += 1
-                yield rows[start:start + CHUNK_SIZE]
-            return
-        table = run.db.tables_get(self.table_name)
-        total = run.sctx.total_width
-        offset = self.offset
-        direct = offset == 0 and len(table.schema.columns) == total
-        # Materialize the access path's (row_id, row) pairs once and carve
-        # chunks by slicing: charging per chunk instead of per row.  Safe
-        # because the batch path never stops early (limit_hint runs the
-        # interpreted path), so the full charge is identical either way.
-        pairs = list(self._pairs(run, table))
-        for start in range(0, len(pairs), CHUNK_SIZE):
-            part = pairs[start:start + CHUNK_SIZE]
-            run.rows_touched += len(part)
-            run.batches += 1
-            if direct:
-                yield [row for _, row in part]
-            else:
-                yield [_pad(row, offset, total) for _, row in part]
 
 
 class SeqScanOp(_BaseTableScan):
@@ -406,11 +355,11 @@ class IndexRangeScanOp(_BaseTableScan):
                 yield row_id, row
 
 
-class FilterOp(RowSource):
+class FilterOp:
     """Keep rows whose predicate evaluates to SQL TRUE.
 
-    The batch path applies the plan-compiled predicate closure over whole
-    chunks; the interpreted path re-walks the AST per row.
+    The rows path applies the plan-compiled predicate closure per row;
+    the chunks path narrows selection vectors with the fused kernels.
     """
 
     def __init__(self, child, predicate, sctx):
@@ -430,27 +379,14 @@ class FilterOp(RowSource):
         for chunk in self.child.iter_cchunks(run):
             sel = predicate(chunk, params)
             if sel:
-                run.batches += 1
                 yield ColumnChunk(chunk.columns, chunk.length, sel)
 
-    def iter_rows_interp(self, run):
-        predicate = self.predicate
-        ctx = run.ctx
-        params = run.params
-        for values in self.child.iter_rows_interp(run):
-            ctx.bind(values)
-            if evaluate(predicate, ctx, params) is True:
-                yield values
-
-    def iter_batches(self, run):
+    def iter_rows(self, run):
         predicate = self._compiled
         params = run.params
-        for chunk in self.child.iter_batches(run):
-            kept = [values for values in chunk
-                    if predicate(values, params) is True]
-            if kept:
-                run.batches += 1
-                yield kept
+        for values in self.child.iter_rows(run):
+            if predicate(values, params) is True:
+                yield values
 
 
 def _build_join_buckets(run, table, right_ordinal):
@@ -485,9 +421,11 @@ def _hash_join_rows(run, table, left_rows, kind, left_pos, right_ordinal,
             yield list(values)
 
 
-class HashJoinOp(RowSource):
+class HashJoinOp:
     """Equi-join: build a hash table over the right table, probe with the
-    child's rows (chunk-wise in the batch engine)."""
+    child's rows (chunk-wise on the chunks path).  Both paths build
+    eagerly, so the right scan is charged even when the probe side turns
+    out empty."""
 
     def __init__(self, child, join_index, kind, table_name,
                  left_pos, right_ordinal):
@@ -498,12 +436,12 @@ class HashJoinOp(RowSource):
         self.left_pos = left_pos
         self.right_ordinal = right_ordinal
 
-    def iter_rows_interp(self, run):
+    def iter_rows(self, run):
         right_table = run.db.tables_get(self.table_name)
         offset = run.sctx.offsets[self.join_index]
         width = run.sctx.widths[self.join_index]
         yield from _hash_join_rows(
-            run, right_table, self.child.iter_rows_interp(run), self.kind,
+            run, right_table, self.child.iter_rows(run), self.kind,
             self.left_pos, self.right_ordinal, offset, width)
 
     def iter_cchunks(self, run):
@@ -538,41 +476,10 @@ class HashJoinOp(RowSource):
             out.columns[offset:offset + width] = [
                 [None if row is None else row[j] for row in right_rows]
                 for j in range(width)]
-            run.batches += 1
-            yield out
-
-    def iter_batches(self, run):
-        right_table = run.db.tables_get(self.table_name)
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
-        left_pos = self.left_pos
-        kind = self.kind
-        # Build eagerly, exactly like the interpreted path: the right scan
-        # is charged even when the probe side turns out empty, keeping
-        # rows_touched engine-invariant.
-        buckets = _build_join_buckets(run, right_table, self.right_ordinal)
-        out = []
-        for chunk in self.child.iter_batches(run):
-            for values in chunk:
-                key = values[left_pos]
-                matches = buckets.get(key, ()) if key is not None else ()
-                if matches:
-                    for row in matches:
-                        merged = list(values)
-                        merged[offset:offset + width] = row
-                        out.append(merged)
-                elif kind == "LEFT":
-                    out.append(list(values))
-                if len(out) >= CHUNK_SIZE:
-                    run.batches += 1
-                    yield out
-                    out = []
-        if out:
-            run.batches += 1
             yield out
 
 
-class IndexNLJoinOp(RowSource):
+class IndexNLJoinOp:
     """Index nested-loop equi-join: probe the right table's primary key or
     a single-column secondary index once per left row, touching only the
     rows each probe returns instead of building a hash table over a full
@@ -586,7 +493,7 @@ class IndexNLJoinOp(RowSource):
     never touches more rows than the hash strategy it replaces, whatever
     the optimizer's estimates predicted.
 
-    Both engines materialize the child (the metadata pass needs every left
+    Both paths materialize the child (the metadata pass needs every left
     key before anything streams), so accounting is identical by design.
     """
 
@@ -612,7 +519,10 @@ class IndexNLJoinOp(RowSource):
             return None
         return index.lookup((key,))
 
-    def _join_rows(self, run, table, left_rows, offset, width):
+    def _join_rows(self, run, left_rows):
+        table = run.db.tables_get(self.table_name)
+        offset = run.sctx.offsets[self.join_index]
+        width = run.sctx.widths[self.join_index]
         left_pos = self.left_pos
         kind = self.kind
 
@@ -651,27 +561,19 @@ class IndexNLJoinOp(RowSource):
             if not matched and kind == "LEFT":
                 yield list(values)
 
-    def iter_rows_interp(self, run):
-        table = run.db.tables_get(self.table_name)
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
-        left_rows = list(self.child.iter_rows_interp(run))
-        yield from self._join_rows(run, table, left_rows, offset, width)
+    def iter_rows(self, run):
+        yield from self._join_rows(run, list(self.child.iter_rows(run)))
 
-    def iter_batches(self, run):
-        table = run.db.tables_get(self.table_name)
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
-        left_rows = []
-        for chunk in self.child.iter_batches(run):
-            left_rows.extend(chunk)
-        yield from _chunked(
-            run, self._join_rows(run, table, left_rows, offset, width))
+    def iter_cchunks(self, run):
+        left_rows = list(_chunk_rows(self.child.iter_cchunks(run)))
+        yield from _row_chunks(self._join_rows(run, left_rows),
+                               run.sctx.total_width)
 
 
-class NestedLoopJoinOp(RowSource):
-    """General join with an arbitrary ON condition (compiled once in the
-    batch engine)."""
+class NestedLoopJoinOp:
+    """General join with an arbitrary ON condition, compiled once per
+    plan.  The per-pair work is row-shaped, so the chunks path transposes
+    the child's chunks to rows and the joined rows back to chunks."""
 
     def __init__(self, child, join_index, kind, table_name, condition,
                  sctx):
@@ -683,27 +585,7 @@ class NestedLoopJoinOp(RowSource):
         self._compiled = compile_expr(condition, sctx.context.positions,
                                       sctx.context.ambiguous)
 
-    def iter_rows_interp(self, run):
-        right_table = run.db.tables_get(self.table_name)
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
-        right_rows = [row for _, row in right_table.scan()]
-        run.rows_touched += len(right_rows)
-        ctx = run.ctx
-        params = run.params
-        for values in self.child.iter_rows_interp(run):
-            matched = False
-            for row in right_rows:
-                merged = list(values)
-                merged[offset:offset + width] = row
-                ctx.bind(merged)
-                if evaluate(self.condition, ctx, params) is True:
-                    yield merged
-                    matched = True
-            if not matched and self.kind == "LEFT":
-                yield list(values)
-
-    def iter_batches(self, run):
+    def _join_rows(self, run, left_rows):
         right_table = run.db.tables_get(self.table_name)
         offset = run.sctx.offsets[self.join_index]
         width = run.sctx.widths[self.join_index]
@@ -711,26 +593,25 @@ class NestedLoopJoinOp(RowSource):
         run.rows_touched += len(right_rows)
         condition = self._compiled
         params = run.params
-        kind = self.kind
-        out = []
-        for chunk in self.child.iter_batches(run):
-            for values in chunk:
-                matched = False
-                for row in right_rows:
-                    merged = list(values)
-                    merged[offset:offset + width] = row
-                    if condition(merged, params) is True:
-                        out.append(merged)
-                        matched = True
-                if not matched and kind == "LEFT":
-                    out.append(list(values))
-                if len(out) >= CHUNK_SIZE:
-                    run.batches += 1
-                    yield out
-                    out = []
-        if out:
-            run.batches += 1
-            yield out
+        left_join = self.kind == "LEFT"
+        for values in left_rows:
+            matched = False
+            for row in right_rows:
+                merged = list(values)
+                merged[offset:offset + width] = row
+                if condition(merged, params) is True:
+                    yield merged
+                    matched = True
+            if not matched and left_join:
+                yield list(values)
+
+    def iter_rows(self, run):
+        yield from self._join_rows(run, self.child.iter_rows(run))
+
+    def iter_cchunks(self, run):
+        left_rows = _chunk_rows(self.child.iter_cchunks(run))
+        yield from _row_chunks(self._join_rows(run, left_rows),
+                               run.sctx.total_width)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +624,7 @@ class ProjectOp:
     Star expansion and output-column names depend only on the statement and
     the FROM-list layout, both fixed for the plan's lifetime (DDL
     invalidates the plan cache), so they are computed once at build time —
-    as are the compiled item closures the batch engine evaluates with.
+    as are the compiled item closures and the fused columnar projection.
     """
 
     def __init__(self, items, sctx):
@@ -778,18 +659,17 @@ class ProjectOp:
                 elif len(column_positions) == 1:
                     only = column_positions[0]
                     self._getter = lambda values: (values[only],)
-        # The columnar engine's fused projection: per-output-column
-        # gathers / vectorized expression loops, zipped into tuples.
-        # None when an item has no vector form — then the chunks
-        # materialize rows and the batch path below takes over.
+        # The chunks path's fused projection: per-output-column gathers /
+        # vectorized expression loops, zipped into tuples.  None when an
+        # item has no vector form — then the chunks materialize rows and
+        # the compiled row closures take over.
         self._columnar = compile_project(items, self.expansions,
                                          positions, ambiguous)
 
     def apply(self, run):
         run.out_columns = self.out_columns
         params = run.params
-        if (run.engine == "columnar" and run.source_chunks is not None
-                and self._columnar is not None):
+        if run.source_chunks is not None and self._columnar is not None:
             project = self._columnar
             out_rows = []
             extend = out_rows.extend
@@ -798,38 +678,23 @@ class ProjectOp:
             run.out_rows = out_rows
             return
         rows = run.source_rows
-        if run.engine != "row":
-            if self._getter is not None:
-                getter = self._getter
-                run.out_rows = [getter(values) for values in rows]
-                return
-            fns = self._compiled
-            if self._all_plain:
-                run.out_rows = [tuple(fn(values, params) for fn in fns)
-                                for values in rows]
-                return
-            out_rows = []
-            for values in rows:
-                out = []
-                for fn, expansion in zip(fns, self.expansions):
-                    if expansion is not None:
-                        out.extend(values[pos] for pos, _ in expansion)
-                    else:
-                        out.append(fn(values, params))
-                out_rows.append(tuple(out))
-            run.out_rows = out_rows
+        if self._getter is not None:
+            getter = self._getter
+            run.out_rows = [getter(values) for values in rows]
             return
-        ctx = run.ctx
-        expansions = self.expansions
+        fns = self._compiled
+        if self._all_plain:
+            run.out_rows = [tuple(fn(values, params) for fn in fns)
+                            for values in rows]
+            return
         out_rows = []
         for values in rows:
-            ctx.bind(values)
             out = []
-            for item, expansion in zip(self.items, expansions):
+            for fn, expansion in zip(fns, self.expansions):
                 if expansion is not None:
                     out.extend(values[pos] for pos, _ in expansion)
                 else:
-                    out.append(evaluate(item.expr, ctx, params))
+                    out.append(fn(values, params))
             out_rows.append(tuple(out))
         run.out_rows = out_rows
 
@@ -837,11 +702,12 @@ class ProjectOp:
 class AggregateOp:
     """GROUP BY + aggregate select items + HAVING.
 
-    The batch engine groups with compiled key closures and evaluates
-    straightforward items (plain aggregates, group keys) through compiled
-    per-group closures; composite shapes (aggregates nested in arithmetic)
-    and HAVING keep the interpreted recursion — they run once per group,
-    not once per row.
+    On the chunks path, aggregates without HAVING fold chunks directly
+    (dictionary-code grouping included).  Otherwise rows are grouped with
+    compiled key closures and straightforward items (plain aggregates,
+    group keys) run through compiled per-group closures; composite shapes
+    (aggregates nested in arithmetic) and HAVING keep the interpreted
+    recursion — they run once per group, not once per row.
     """
 
     def __init__(self, items, group_by, having, sctx):
@@ -857,7 +723,7 @@ class AggregateOp:
         self._item_fns = [compile_aggregate_item(item.expr, positions,
                                                  ambiguous)
                           for item in items]
-        # Chunk-at-a-time aggregate closures for the columnar engine's
+        # Chunk-at-a-time aggregate closures for the chunks path's
         # fused no-GROUP-BY path (None entries force row materialization).
         self._citem_fns = [compile_aggregate_item_columnar(
             item.expr, positions, ambiguous) for item in items]
@@ -894,19 +760,18 @@ class AggregateOp:
         run.has_aggregates = True
         ctx = run.ctx
         params = run.params
-        if (run.engine == "columnar" and run.source_chunks is not None
-                and not self.group_by and self.having is None
+        chunks = run.source_chunks
+        if (chunks is not None and not self.group_by
+                and self.having is None
                 and all(fn is not None for fn in self._citem_fns)):
             # Fused path: aggregates consume chunks directly — the wide
             # rows are never built.  A single implicit group, so one
             # output row even over empty input (matching groups[()]).
-            chunks = run.source_chunks
             run.out_columns = self.out_columns
             run.out_rows = [tuple(fn(chunks, params)
                                   for fn in self._citem_fns)]
             return
-        if (run.engine == "columnar" and run.source_chunks is not None
-                and self.group_by and self.having is None
+        if (chunks is not None and self.group_by and self.having is None
                 and self._cgrouped_items is not None):
             # Grouped fused path: group by gathered key lanes — integer
             # dictionary codes directly for single dictionary-column
@@ -916,30 +781,18 @@ class AggregateOp:
             run.out_rows = self._apply_grouped_columnar(run, params)
             return
         rows = run.source_rows
-        batch = run.engine != "row"
         # Partition rows into groups by the GROUP BY key (a single group
         # covering everything when there is no GROUP BY).
         groups = {}
         order = []
         if self.group_by:
-            if batch:
-                fns = self._group_fns
-                for values in rows:
-                    key = tuple(fn(values, params) for fn in fns)
-                    if key not in groups:
-                        groups[key] = []
-                        order.append(key)
-                    groups[key].append(values)
-            else:
-                for values in rows:
-                    ctx.bind(values)
-                    key = tuple(
-                        evaluate(e, ctx, params) for e in self.group_by
-                    )
-                    if key not in groups:
-                        groups[key] = []
-                        order.append(key)
-                    groups[key].append(values)
+            fns = self._group_fns
+            for values in rows:
+                key = tuple(fn(values, params) for fn in fns)
+                if key not in groups:
+                    groups[key] = []
+                    order.append(key)
+                groups[key].append(values)
         else:
             groups[()] = list(rows)
             order.append(())
@@ -953,25 +806,18 @@ class AggregateOp:
                                             params)
                 if keep is not True:
                     continue
-            if batch:
-                out = tuple(
-                    fn(group_rows, params) if fn is not None
-                    else _eval_aggregate_expr(item.expr, group_rows, ctx,
-                                              params)
-                    for fn, item in zip(self._item_fns, self.items))
-            else:
-                out = tuple(
-                    _eval_aggregate_expr(item.expr, group_rows, ctx, params)
-                    for item in self.items
-                )
-            out_rows.append(out)
+            out_rows.append(tuple(
+                fn(group_rows, params) if fn is not None
+                else _eval_aggregate_expr(item.expr, group_rows, ctx,
+                                          params)
+                for fn, item in zip(self._item_fns, self.items)))
         run.out_rows = out_rows
 
     def _apply_grouped_columnar(self, run, params):
         """Chunk-at-a-time grouped aggregation over columnar chunks.
 
         Groups live in a master dict keyed **by value** (first-encounter
-        order, exactly the row engine's), with one accumulator list per
+        order, exactly the row-grouping order), with one accumulator list per
         select item, one slot per group.  Single dictionary-column keys
         take the code fast path: a per-dictionary ``code -> group``
         translation array (plus a NULL slot) resolves each row with one
@@ -1095,7 +941,7 @@ class SortOp:
 
     Keys may reference output aliases/positions or — for non-aggregate
     queries, where output rows align 1:1 with source rows — source columns
-    (evaluated through compiled closures in the batch engine).
+    (evaluated through compiled closures).
     """
 
     def __init__(self, order_by, sctx):
@@ -1105,10 +951,11 @@ class SortOp:
                           for item in order_by]
 
     def apply(self, run):
-        ctx = run.ctx
         params = run.params
-        source_rows = run.source_rows
-        compiled = self._compiled if run.engine != "row" else None
+        # Source rows are materialized only when a key needs them (chunks
+        # land as rows lazily); aggregate output has no 1:1 source row.
+        source_rows = () if run.has_aggregates else None
+        compiled = self._compiled
         keyed = []
         alias_positions = {
             name: i for i, name in enumerate(run.out_columns)}
@@ -1122,16 +969,14 @@ class SortOp:
                 elif isinstance(expr, A.Literal) and isinstance(
                         expr.value, int):
                     value = out[expr.value - 1]
-                elif not run.has_aggregates and i < len(source_rows):
-                    if compiled is not None:
-                        value = compiled[j](source_rows[i], params)
-                    else:
-                        ctx.bind(source_rows[i])
-                        value = evaluate(expr, ctx, params)
                 else:
-                    raise SqlError(
-                        "ORDER BY in aggregate queries must reference "
-                        "output columns")
+                    if source_rows is None:
+                        source_rows = run.source_rows
+                    if i >= len(source_rows):
+                        raise SqlError(
+                            "ORDER BY in aggregate queries must reference "
+                            "output columns")
+                    value = compiled[j](source_rows[i], params)
                 key.append(_SortKey(value, item.descending))
             keyed.append((key, out))
         keyed.sort(key=lambda pair: pair[0])
@@ -1194,10 +1039,15 @@ class PhysicalPlan:
     sequential scan (no joins, no index access path) — the batch shared-scan
     optimizer's eligibility test, precomputed here so it rides the plan
     cache instead of re-walking the AST on every batch flush.
+
+    ``path`` is the pull path every execution takes unless told
+    otherwise — ``"rows"`` for plans whose base access is an
+    :class:`IndexLookupOp` and for ``limit_hint`` plans, ``"chunks"`` for
+    every other plan (see the module docstring).
     """
 
     __slots__ = ("source", "result_ops", "sctx", "shared_scan_table",
-                 "limit_hint", "referenced_tables")
+                 "limit_hint", "referenced_tables", "path")
 
     def __init__(self, source, result_ops, sctx, limit_hint=None):
         self.source = source
@@ -1217,6 +1067,10 @@ class PhysicalPlan:
             op = op.child
         self.shared_scan_table = (
             op.table_name if isinstance(op, SeqScanOp) else None)
+        while getattr(op, "child", None) is not None:
+            op = op.child
+        self.path = ("rows" if limit_hint is not None
+                     or isinstance(op, IndexLookupOp) else "chunks")
 
     def pk_probe_keys(self, db, params=()):
         """The primary-key values this plan probes as a pure point lookup,
@@ -1241,40 +1095,41 @@ class PhysicalPlan:
             return None
         return op.table_name, keys
 
-    def _materialize_source(self, run, source):
-        """Pull ``source`` to completion under the run's engine.
+    def _pull(self, run, source, path):
+        """Pull ``source`` to completion down ``path``.
 
-        The ``limit_hint`` cutoff always streams the interpreted row-at-a-
-        time path — in *both* engines — because stop-after-N is the one
-        place chunked materialization would touch storage rows the row
-        engine never reads, breaking ``rows_touched`` engine-invariance.
+        Only the rows path honours the ``limit_hint`` cutoff: stop-after-N
+        is the one place a chunked pull would touch storage rows the
+        cutoff never reads, so forcing ``"chunks"`` onto a hinted plan
+        returns the same rows but charges the whole pull.
         """
-        cutoff = self._resolve_limit_hint(run.params)
-        if cutoff is not None:
-            return list(islice(source.iter_rows_interp(run), cutoff))
-        if run.engine == "columnar":
-            # Chunks are kept columnar; result operators that can consume
+        if path == "rows":
+            rows = source.iter_rows(run)
+            cutoff = self._resolve_limit_hint(run.params)
+            if cutoff is not None:
+                rows = islice(rows, cutoff)
+            run.source_rows = list(rows)
+        elif path == "chunks":
+            # Chunks stay columnar; result operators that can consume
             # them do so directly, and ``run.source_rows`` materializes
             # wide rows lazily for the ones that cannot.
             run.source_chunks = list(source.iter_cchunks(run))
-            return None
-        if run.engine == "batch":
-            rows = []
-            for chunk in source.iter_batches(run):
-                rows.extend(chunk)
-            return rows
-        return list(source.iter_rows_interp(run))
+        else:
+            raise ValueError(
+                f"unknown path {path!r}; expected 'rows' or 'chunks'")
 
-    def execute(self, db, params=(), prefetched_base_rows=None):
-        """Run the plan; returns an :class:`ExecResult`."""
+    def execute(self, db, params=(), prefetched_base_rows=None, path=None):
+        """Run the plan; returns an :class:`ExecResult`.
+
+        ``path`` overrides the plan's own :attr:`path` — the seam the
+        differential oracles and the wall-clock lane use to run both
+        paths over the same plan.
+        """
         run = PlanRun(db, params, self.sctx,
                       prefetched_base_rows=prefetched_base_rows)
-        run.source_rows = self._materialize_source(run, self.source)
+        self._pull(run, self.source, path or self.path)
         for op in self.result_ops:
             op.apply(run)
-        executor = getattr(db, "executor", None)
-        if executor is not None:
-            executor.batches_executed += run.batches
         return ExecResult(run.out_columns, run.out_rows,
                           rowcount=len(run.out_rows),
                           rows_touched=run.rows_touched,
@@ -1284,11 +1139,12 @@ class PhysicalPlan:
         """Run the plan with per-operator instrumentation.
 
         Returns ``(result, lines)`` where ``lines`` is the EXPLAIN
-        ANALYZE report: one line per operator annotated with produced-row
-        count and inclusive wall time (an operator's time contains its
-        children's, as in the classic EXPLAIN ANALYZE convention).
-        Deliberately side-effect-light: no result-cache store, no
-        statement counters — a profiling probe, not an execution.
+        ANALYZE report: a header naming the path that ran, then one line
+        per operator annotated with produced-row count and inclusive wall
+        time (an operator's time contains its children's, as in the
+        classic EXPLAIN ANALYZE convention).  Deliberately
+        side-effect-light: no result-cache store, no statement counters —
+        a profiling probe, not an execution.
         """
         run = PlanRun(db, params, self.sctx)
         chain = []
@@ -1308,7 +1164,7 @@ class PhysicalPlan:
         source_records.reverse()  # top-of-chain first
 
         started = perf_counter()
-        run.source_rows = self._materialize_source(run, timed)
+        self._pull(run, timed, self.path)
         result_records = []
         for op in self.result_ops:
             record = _AnalyzeRecord(type(op).__name__.removesuffix("Op"))
@@ -1328,7 +1184,7 @@ class PhysicalPlan:
                             rows_touched=run.rows_touched,
                             chunks_skipped=run.chunks_skipped)
         lines = [
-            f"EXPLAIN ANALYZE [engine={run.engine}, "
+            f"EXPLAIN ANALYZE [path={self.path}, "
             f"rows={len(run.out_rows)}, "
             f"rows_touched={run.rows_touched}, "
             f"total_ms={total * 1000:.3f}]"]
@@ -1359,11 +1215,10 @@ class PhysicalPlan:
 class _AnalyzeRecord:
     """One operator's EXPLAIN ANALYZE measurements.
 
-    ``rows`` counts produced (live) rows under every engine.  The chunked
-    engines additionally report ``chunks`` (batches yielded) and — when
-    selection vectors are in play — ``sel``, the live fraction of chunk
-    capacity, so EXPLAIN ANALYZE shows how dense the surviving selection
-    is after each operator.
+    ``rows`` counts produced (live) rows on both paths.  The chunks path
+    additionally reports ``chunks`` (chunks yielded) and ``sel``, the
+    live fraction of chunk capacity, so EXPLAIN ANALYZE shows how dense
+    the surviving selection is after each operator.
     """
 
     __slots__ = ("label", "rows", "seconds", "chunks", "capacity",
@@ -1391,26 +1246,11 @@ class _AnalyzeRecord:
 
 class _TimedSource:
     """Wraps a row source, accumulating inclusive pull time and produced
-    rows into an :class:`_AnalyzeRecord` under either protocol."""
+    rows into an :class:`_AnalyzeRecord` on either path."""
 
     def __init__(self, op, record):
         self.op = op
         self.record = record
-
-    def iter_batches(self, run):
-        record = self.record
-        gen = self.op.iter_batches(run)
-        while True:
-            t0 = perf_counter()
-            try:
-                chunk = next(gen)
-            except StopIteration:
-                record.seconds += perf_counter() - t0
-                return
-            record.seconds += perf_counter() - t0
-            record.rows += len(chunk)
-            record.chunks += 1
-            yield chunk
 
     def iter_cchunks(self, run):
         record = self.record
@@ -1428,9 +1268,9 @@ class _TimedSource:
             record.capacity += chunk.length
             yield chunk
 
-    def iter_rows_interp(self, run):
+    def iter_rows(self, run):
         record = self.record
-        gen = self.op.iter_rows_interp(run)
+        gen = self.op.iter_rows(run)
         while True:
             t0 = perf_counter()
             try:
@@ -1441,10 +1281,6 @@ class _TimedSource:
             record.seconds += perf_counter() - t0
             record.rows += 1
             yield values
-
-    def iter_rows(self, run):
-        for chunk in self.iter_batches(run):
-            yield from chunk
 
 
 def _op_label(op):

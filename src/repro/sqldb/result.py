@@ -12,11 +12,11 @@ class ExecResult:
     ``rows`` — list of tuples (empty for writes).
     ``rowcount`` — rows returned for reads, rows affected for writes.
     ``rows_touched`` — storage rows examined (cost-model input).  Chunks
-    the columnar engine skips via zone maps still charge their rows here
+    the chunks path skips via zone maps still charge their rows here
     — skipping changes wall-clock, never the simulated cost — so the
-    figure stays engine-invariant.
+    figure stays path-invariant.
     ``chunks_skipped`` — columnar chunks zone maps proved irrelevant
-    (0 outside the columnar engine).
+    (0 on the rows path).
     ``last_insert_id`` — primary key of the last inserted row, if integral.
     ``from_cache`` — True when the rows came from the cross-request result
     cache (the server charges the flat cache-hit cost instead of the
@@ -35,8 +35,8 @@ class ExecResult:
     def __init__(self, columns=(), rows=(), rowcount=0, rows_touched=0,
                  last_insert_id=None, from_cache=False, chunks_skipped=0):
         self.columns = list(columns)
-        # The engines' projection operators already emit tuples (the
-        # columnar engine's fused projection zips straight into them);
+        # The projection operators already emit tuples (the chunks
+        # path's fused projection zips straight into them);
         # re-wrapping every row would be a second full copy of the result,
         # so only rows arriving in other shapes (lists from interpreted
         # fallbacks, external callers) pay for the conversion.

@@ -195,17 +195,16 @@ class ShardedDatabase:
 
     def __init__(self, topology, name="sharded", optimizer_options=None,
                  result_cache_size=DEFAULT_RESULT_CACHE_LIMIT,
-                 engine="batch", read_from_replicas=None):
+                 read_from_replicas=None):
         self.topology = topology
         self.name = name
         self.router = Router(topology)
-        self._engine = engine
         self._result_cache_size = result_cache_size
 
         def make(suffix, cache_size=result_cache_size):
             return Database(f"{name}-{suffix}",
                             optimizer_options=optimizer_options,
-                            result_cache_size=cache_size, engine=engine)
+                            result_cache_size=cache_size)
 
         self.shards = [
             _Shard(i, make(f"s{i}"),
@@ -236,16 +235,6 @@ class ShardedDatabase:
             for rep in sh.replicas:
                 yield rep.db
         yield self._coord
-
-    @property
-    def engine(self):
-        return self._engine
-
-    @engine.setter
-    def engine(self, value):
-        self._engine = value
-        for db in self.all_databases():
-            db.engine = value
 
     def primary(self, shard):
         return self.shards[shard].primary
@@ -305,15 +294,6 @@ class ShardedDatabase:
         for name in sorted(self.shards[0].primary.tables):
             counts[name] = self.table_size(name)
         return counts
-
-    def engine_stats(self):
-        return {
-            "engine": self._engine,
-            "batches_executed": sum(db.executor.batches_executed
-                                    for db in self.all_databases()),
-            "plans_built": sum(db.executor.plans_built
-                               for db in self.all_databases()),
-        }
 
     @property
     def active_read_view(self):

@@ -30,7 +30,7 @@ class Table:
         # Physical mutation counter: bumped on *every* row change the
         # instant it happens — including uncommitted transactional writes
         # and their rollbacks — unlike write_version, which only moves at
-        # COMMIT.  The columnar engine's cached snapshot keys on it (plus
+        # COMMIT.  The cached columnar snapshot keys on it (plus
         # the identity of self.rows, which the read-view manager swaps
         # wholesale without touching either counter).
         self._mutation_count = 0
@@ -241,9 +241,9 @@ class Table:
         lazily whenever the physical mutation counter moved or the rows
         dict itself was swapped (per-request read views).
 
-        The snapshot is both the columnar engine's scan source and the
+        The snapshot is both the chunks path's scan source and the
         planner's statistics source (per-column distinct counts, zone-map
-        min/max — see :mod:`repro.sqldb.plan.cost`), so any engine may
+        min/max — see :mod:`repro.sqldb.plan.cost`), so any plan may
         trigger a build at plan time; zone maps share the snapshot's
         lifetime and are invalidated with it by every write or rollback."""
         store = self._column_store

@@ -1,7 +1,7 @@
 """Unit tests for the columnar chunk layout itself.
 
-The engine-parity suites (test_vectorized, test_join_oracle) pin the
-columnar engine's *results*; these tests pin the layout internals —
+The path-parity suites (test_vectorized, test_join_oracle) pin the
+chunks path's *results*; these tests pin the layout internals —
 dictionary-encoding decisions, ColumnStore snapshot caching and
 invalidation, selection-vector plumbing, per-chunk zone maps (their
 construction, the scans that skip on them, and their invalidation
@@ -16,18 +16,27 @@ from hypothesis import strategies as st
 
 from repro.sqldb import Database
 from repro.sqldb import columnar as columnar_mod
+from repro.sqldb.parser import parse
 from repro.sqldb.columnar import (ColumnChunk, DictColumn, LIKE_CACHE_LIMIT,
                                   NULL_CODE, _column_zones, _encode_dict)
 from repro.sqldb.plan import physical as physical_mod
 
 
-def _db(engine="columnar", n=100):
-    db = Database(result_cache_size=0, engine=engine)
+def _db(n=100):
+    db = Database(result_cache_size=0)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, name TEXT, v INT)")
     for i in range(n):
         db.execute("INSERT INTO t VALUES (?, ?, ?)",
                    (i, None if i % 10 == 9 else f"label{i % 4}", i * 3))
     return db
+
+
+def _both_paths(db, sql, params=()):
+    """``(chunks, rows)``: the statement's cached plan run down each
+    pull path."""
+    plan = db.executor.plan_for(parse(sql))
+    return (plan.execute(db, params, path="chunks"),
+            plan.execute(db, params, path="rows"))
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +178,13 @@ def test_from_rows_transpose_shim():
 
 
 # ---------------------------------------------------------------------------
-# Engine-level behaviors that hang off the layout
+# Execution behaviors that hang off the layout
 # ---------------------------------------------------------------------------
 
 
 def test_dictionary_predicates_agree_with_row_engine():
+    """Dictionary-code kernels on the chunks path agree with the compiled
+    row closures on the same plan."""
     queries = (
         ("SELECT id FROM t WHERE name = 'label2'", ()),
         ("SELECT id FROM t WHERE name <> 'label0'", ()),
@@ -183,10 +194,9 @@ def test_dictionary_predicates_agree_with_row_engine():
         ("SELECT id FROM t WHERE name IS NULL", ()),
         ("SELECT name, COUNT(*) FROM t GROUP BY name ORDER BY name", ()),
     )
-    columnar, row = _db("columnar"), _db("row")
+    db = _db()
     for sql, params in queries:
-        a = columnar.execute(sql, params)
-        b = row.execute(sql, params)
+        a, b = _both_paths(db, sql, params)
         assert a.rows == b.rows, sql
         assert a.rows_touched == b.rows_touched, sql
 
@@ -222,12 +232,11 @@ def test_zone_maps_withhold_unorderable_ranges():
 
 
 def test_scan_skips_chunks_outside_range():
-    columnar, row = _db("columnar", n=2500), _db("row", n=2500)
-    sql = "SELECT id, v FROM t WHERE id < ?"
-    a, b = columnar.execute(sql, (1024,)), row.execute(sql, (1024,))
+    db = _db(n=2500)
+    a, b = _both_paths(db, "SELECT id, v FROM t WHERE id < ?", (1024,))
     assert a.rows == b.rows and a.rowcount == 1024
     # Chunks 2 and 3 (ids 1024..2499) are proven irrelevant and skipped —
-    # but still charge rows_touched: the cost currency is engine-invariant.
+    # but still charge rows_touched: the cost currency is path-invariant.
     assert a.chunks_skipped == 2 and b.chunks_skipped == 0
     assert a.rows_touched == b.rows_touched == 2500
 
@@ -294,19 +303,16 @@ def test_zone_maps_follow_read_view_swap():
 )
 def test_chunk_skipping_never_changes_results(values, low, span, op):
     """Differential oracle: with tiny chunks (so zone pruning fires on
-    realistic data sizes), the columnar engine must return exactly the
-    batch engine's rows and rows_touched for every predicate shape the
-    prune compiler handles — skipping may only ever change wall-clock."""
+    realistic data sizes), the chunks path must return exactly the rows
+    path's rows and rows_touched for every predicate shape the prune
+    compiler handles — skipping may only ever change wall-clock."""
     old_chunk = columnar_mod.CHUNK_SIZE
     columnar_mod.CHUNK_SIZE = physical_mod.CHUNK_SIZE = 8
     try:
-        dbs = {}
-        for engine in ("batch", "columnar"):
-            db = Database(result_cache_size=0, engine=engine)
-            db.execute("CREATE TABLE o (id INT PRIMARY KEY, v INT)")
-            for i, v in enumerate(values):
-                db.execute("INSERT INTO o VALUES (?, ?)", (i, v))
-            dbs[engine] = db
+        db = Database(result_cache_size=0)
+        db.execute("CREATE TABLE o (id INT PRIMARY KEY, v INT)")
+        for i, v in enumerate(values):
+            db.execute("INSERT INTO o VALUES (?, ?)", (i, v))
         high = low + span
         if op == "BETWEEN":
             sql = "SELECT id, v FROM o WHERE v BETWEEN ? AND ?"
@@ -320,11 +326,10 @@ def test_chunk_skipping_never_changes_results(values, low, span, op):
             params = ()
         else:
             sql, params = f"SELECT id, v FROM o WHERE v {op} ?", (low,)
-        batch = dbs["batch"].execute(sql, params)
-        col = dbs["columnar"].execute(sql, params)
-        assert col.rows == batch.rows
-        assert col.rows_touched == batch.rows_touched
-        assert batch.chunks_skipped == 0
+        col, row = _both_paths(db, sql, params)
+        assert col.rows == row.rows
+        assert col.rows_touched == row.rows_touched
+        assert row.chunks_skipped == 0
     finally:
         columnar_mod.CHUNK_SIZE = physical_mod.CHUNK_SIZE = old_chunk
 

@@ -23,13 +23,15 @@ FROM-order execution — the adaptivity contract of the index nested-loop
 join, the safety contract of join reordering, and the superset contract of
 range scans.
 
-Every case additionally runs under **both physical engines**
-(``Database(engine="row")`` — the interpreted row-at-a-time shim — and
-``engine="batch"`` — chunked pull through compiled expressions) and the
-two executions must agree *exactly*: byte-identical rows in identical
+Every pipeline's plan additionally runs down **both pull paths** of the
+one execution engine — the plan's own path (index-rooted plans pull
+compiled rows, sequential-scan plans columnar chunks, so the default and
+FROM-order pipelines mostly exercise different paths) and the same cached
+plan forced down the other (``PhysicalPlan.execute(..., path=...)``) —
+and the executions must agree *exactly*: byte-identical rows in identical
 order and identical ``rows_touched``.  This is the differential contract
-of the vectorized engine — not a multiset comparison, because the engines
-share the plan and so must also agree on ordering.
+of the two paths — not a multiset comparison, because they share the plan
+and so must also agree on ordering.
 """
 
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from repro.sqldb import Database
 from repro.sqldb.expressions import RowContext, evaluate
 from repro.sqldb.parser import parse
 from repro.sqldb.plan import FROM_ORDER_OPTIONS
+from repro.sqldb.plan.physical import PATHS
 
 # ---------------------------------------------------------------------------
 # Reference evaluator (brute force, FROM order, no optimization)
@@ -181,8 +184,8 @@ def join_cases(draw):
     return tables, sql, order_items
 
 
-def build_db(tables, options=None, engine="batch"):
-    db = Database(optimizer_options=options, engine=engine)
+def build_db(tables, options=None):
+    db = Database(optimizer_options=options)
     for i, (rows, index_method) in enumerate(tables):
         db.execute(f"CREATE TABLE t{i} (a{i} INT PRIMARY KEY, "
                    f"b{i} INT, c{i} INT)")
@@ -236,18 +239,24 @@ def reference_tables(tables):
     return out
 
 
-def assert_engines_agree(tables, sql, params=(), options=None):
-    """Execute under all three physical engines and require *exact*
-    agreement: identical rows in identical order and identical
-    ``rows_touched``.  Returns the batch execution so callers don't run
-    it twice."""
-    batch = build_db(tables, options, engine="batch").execute(sql, params)
-    for engine in ("columnar", "row"):
-        other = build_db(tables, options, engine=engine).execute(sql, params)
-        assert other.rows == batch.rows, engine
-        assert other.columns == batch.columns, engine
-        assert other.rows_touched == batch.rows_touched, engine
-    return batch
+def assert_paths_agree(tables, sql, params=(), options=None):
+    """Execute through the pipeline under ``options``, then force the same
+    cached plan down each pull path, requiring *exact* agreement:
+    identical rows in identical order and identical ``rows_touched``.
+    Only the rows path honours a ``limit_hint`` cutoff, so hinted plans
+    are not forced down the chunks path.  Returns the pipeline's own
+    execution so callers don't run it twice."""
+    db = build_db(tables, options)
+    result = db.execute(sql, params)
+    plan = db.executor.plan_for(parse(sql))
+    for path in PATHS:
+        if path == "chunks" and plan.limit_hint is not None:
+            continue
+        forced = plan.execute(db, params, path=path)
+        assert forced.rows == result.rows, path
+        assert forced.columns == result.columns, path
+        assert forced.rows_touched == result.rows_touched, path
+    return result
 
 
 # The reference evaluator ignores ORDER BY (it compares multisets), so the
@@ -264,11 +273,11 @@ def assert_engines_agree(tables, sql, params=(), options=None):
 def test_differential_join_oracle(case):
     """Optimized == FROM-order == brute-force reference, both pipelines
     honor the ORDER BY, the optimized plan never touches more rows than
-    FROM-order execution, and each pipeline agrees exactly with itself
-    under the row engine."""
+    FROM-order execution, and each pipeline's plan agrees exactly with
+    itself down both pull paths."""
     tables, sql, order_items = case
-    optimized = assert_engines_agree(tables, sql)
-    from_order = assert_engines_agree(tables, sql,
+    optimized = assert_paths_agree(tables, sql)
+    from_order = assert_paths_agree(tables, sql,
                                       options=FROM_ORDER_OPTIONS)
     reference = reference_eval(reference_tables(tables), sql)
 
@@ -291,8 +300,9 @@ def test_oracle_with_parameters(case, needle):
     where, sep, order_by = sql.partition(" ORDER BY ")
     where += (" AND" if "WHERE" in where else " WHERE") + " t0.b0 = ?"
     sql = where + sep + order_by
-    optimized = assert_engines_agree(tables, sql, (needle,))
-    from_order = build_db(tables, FROM_ORDER_OPTIONS).execute(sql, (needle,))
+    optimized = assert_paths_agree(tables, sql, (needle,))
+    from_order = assert_paths_agree(tables, sql, (needle,),
+                                    options=FROM_ORDER_OPTIONS)
     reference = reference_eval(reference_tables(tables), sql, (needle,))
 
     assert canon(optimized.rows) == canon(reference)
@@ -315,8 +325,9 @@ def test_oracle_with_parameterized_range(case, low, high):
               + " t0.b0 BETWEEN ? AND ?")
     sql = where + sep + order_by
     params = (low, high)
-    optimized = assert_engines_agree(tables, sql, params)
-    from_order = build_db(tables, FROM_ORDER_OPTIONS).execute(sql, params)
+    optimized = assert_paths_agree(tables, sql, params)
+    from_order = assert_paths_agree(tables, sql, params,
+                                    options=FROM_ORDER_OPTIONS)
     reference = reference_eval(reference_tables(tables), sql, params)
 
     assert canon(optimized.rows) == canon(reference)

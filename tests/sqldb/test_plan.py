@@ -430,6 +430,29 @@ class TestPlanCache:
             db.executor.plan_for(stmt)
             assert db.executor.plans_built == before + 1, ddl
 
+    def test_plan_cache_evicts_least_recently_used(self):
+        """A stream of one-off SELECTs (literal-heavy traffic) must not
+        flush a statement that stays hot: the cache evicts the least
+        recently used plan, not all of them."""
+        from repro.sqldb.executor import _PLAN_CACHE_LIMIT
+
+        db = Database(result_cache_size=0)  # every SELECT reaches a plan
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        hot = "SELECT v FROM t WHERE id = ?"
+        db.execute(hot, (1,))
+        built = db.executor.plans_built
+        for i in range(_PLAN_CACHE_LIMIT):
+            db.execute(f"SELECT v FROM t WHERE v = {i}")
+            db.execute(hot, (i,))
+        assert db.executor.plans_built == built + _PLAN_CACHE_LIMIT
+        assert len(db.executor._plans) == _PLAN_CACHE_LIMIT
+        # The coldest one-off was evicted; a recent one is still cached.
+        cold = db.executor.plans_built
+        db.execute(f"SELECT v FROM t WHERE v = {_PLAN_CACHE_LIMIT - 1}")
+        assert db.executor.plans_built == cold
+        db.execute("SELECT v FROM t WHERE v = 0")
+        assert db.executor.plans_built == cold + 1
+
 
 class TestSharedScanBatch:
     @pytest.fixture

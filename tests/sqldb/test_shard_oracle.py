@@ -14,19 +14,27 @@ The oracle asserts:
   whose ORDER BY pins a total order; canonical multisets plus an
   order-contract check otherwise — LIMIT cases always order by a unique
   key, since tie-breaking under a cut is not a portable contract);
-- **engine invariance** per topology: the sharded facade run under the
-  batch engine and the row engine returns identical rows *and* identical
-  ``rows_touched`` (each shard's execution is engine-invariant, so the
-  sum across shards must be too);
+- **path invariance** per topology: the sharded facade with every plan
+  on its own pull path (mostly columnar chunks) and with every plan
+  forced down the compiled-rows path returns identical rows *and*
+  identical ``rows_touched`` (each shard's execution is path-invariant,
+  so the sum across shards must be too);
+- **planner invariance** per topology: a facade planning with
+  ``FROM_ORDER_OPTIONS`` returns the same rows and never fewer
+  ``rows_touched`` than the default planner;
 - the same equivalences after a random interleaving of autocommit
   writes (inserts, partition-preserving updates, deletes).
 """
+
+from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.sqldb import Database
+from repro.sqldb.plan import FROM_ORDER_OPTIONS
+from repro.sqldb.plan.physical import PhysicalPlan
 from repro.sqldb.shard import HASH, RANGE, PartitionSpec, ShardTopology, \
     ShardedDatabase
 
@@ -185,27 +193,49 @@ def _compare(reference, sharded, order_positions, exact):
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def rows_path_everywhere():
+    """Force every plan execution, on every backend, down the rows path
+    (total over every plan shape, and it honours ``limit_hint``)."""
+    original = PhysicalPlan.execute
+
+    def execute(self, db, params=(), prefetched_base_rows=None, path=None):
+        return original(self, db, params, prefetched_base_rows, "rows")
+
+    PhysicalPlan.execute = execute
+    try:
+        yield
+    finally:
+        PhysicalPlan.execute = original
+
+
 @pytest.mark.parametrize("label,shards,method", TOPOLOGIES,
                          ids=[t[0] for t in TOPOLOGIES])
 @given(case=shard_cases())
 @settings(max_examples=200, deadline=None)
 def test_cross_topology_oracle(label, shards, method, case):
-    """Single-node == sharded for every routed query shape, and the
-    sharded facade agrees with itself exactly across physical engines
-    (rows and ``rows_touched``)."""
+    """Single-node == sharded for every routed query shape; the sharded
+    facade agrees with itself exactly across pull paths (rows and
+    ``rows_touched``) and with a FROM-order-planned facade."""
     part_col, t_rows, lk_rows, (sql, params, order_positions, exact) = case
     topology = make_topology(shards, method, part_col)
     reference = seed(Database("ref"), t_rows, lk_rows).execute(sql, params)
 
-    batch = seed(ShardedDatabase(topology, engine="batch"),
-                 t_rows, lk_rows).execute(sql, params)
-    row = seed(ShardedDatabase(topology, engine="row"),
+    own = seed(ShardedDatabase(topology),
                t_rows, lk_rows).execute(sql, params)
+    with rows_path_everywhere():
+        rows = seed(ShardedDatabase(topology),
+                    t_rows, lk_rows).execute(sql, params)
+    from_order = seed(ShardedDatabase(topology,
+                                      optimizer_options=FROM_ORDER_OPTIONS),
+                      t_rows, lk_rows).execute(sql, params)
 
-    _compare(reference, batch, order_positions, exact)
-    assert batch.rows == row.rows
-    assert batch.columns == row.columns
-    assert batch.rows_touched == row.rows_touched
+    _compare(reference, own, order_positions, exact)
+    assert own.rows == rows.rows
+    assert own.columns == rows.columns
+    assert own.rows_touched == rows.rows_touched
+    _compare(own, from_order, order_positions, exact)
+    assert own.rows_touched <= from_order.rows_touched
 
 
 _WRITE_OPS = st.lists(st.tuples(

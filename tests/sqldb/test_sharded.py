@@ -205,12 +205,6 @@ def test_result_cache_toggle_fans_out():
                if backend.result_cache.limit > 0)
 
 
-def test_engine_setter_fans_out():
-    db = make_db()
-    db.engine = "row"
-    assert all(backend.engine == "row" for backend in db.all_databases())
-
-
 def test_explain_analyze_is_rejected():
     db = make_db()
     with pytest.raises(SqlError):

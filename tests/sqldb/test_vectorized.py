@@ -1,23 +1,24 @@
-"""Chunk-boundary and engine-parity tests for the chunked engines.
+"""Chunk-boundary and path-parity tests for the execution engine.
 
-The batch engine pulls chunks of ``CHUNK_SIZE`` wide rows through
-plan-compiled expression closures; the columnar engine exchanges
-``ColumnChunk`` column arrays with selection vectors and fused
-predicates; the row engine is the interpreted row-at-a-time shim kept
-for differential testing.  These tests pin the edges the chunking can
+The engine has two pull paths, picked per plan at build time: index
+point probes and ``limit_hint`` plans pull wide rows through
+plan-compiled expression closures (``rows``); every other plan exchanges
+``ColumnChunk`` column arrays with selection vectors and fused predicates
+(``chunks``).  Every check here runs each statement under the default
+planner and ``FROM_ORDER_OPTIONS`` and forces each plan down both paths,
+requiring identical results.  The tests pin the edges the chunking can
 get wrong — empty inputs, result sizes straddling the chunk boundary,
 LIMIT cutting mid-chunk, NULL-heavy data through the compiled
-three-valued logic — plus the observability surface (``engine_stats``,
-the explain Engine trailer, EXPLAIN ANALYZE) and the zero-copy scan's
-no-mutation contract.
+three-valued logic — plus the path-selection rule, the EXPLAIN ANALYZE
+surface and the zero-copy scan's no-mutation contract.
 """
 
 import pytest
 
 from repro.sqldb import Database
-from repro.sqldb.plan.physical import CHUNK_SIZE
-
-ENGINES = ("batch", "columnar", "row")
+from repro.sqldb.parser import parse
+from repro.sqldb.plan import FROM_ORDER_OPTIONS
+from repro.sqldb.plan.physical import CHUNK_SIZE, PATHS
 
 
 def _seed(db, n_rows):
@@ -30,26 +31,46 @@ def _seed(db, n_rows):
 
 
 def _pair(n_rows):
-    """The same seeded table under every engine (result cache off), in
-    ``ENGINES`` order: ``(batch, columnar, row)``."""
-    return tuple(_seed(Database(result_cache_size=0, engine=e), n_rows)
-                 for e in ENGINES)
+    """The same seeded table (result cache off) planned two ways:
+    ``(default options, FROM_ORDER_OPTIONS)``."""
+    return (_seed(Database(result_cache_size=0), n_rows),
+            _seed(Database(result_cache_size=0,
+                           optimizer_options=FROM_ORDER_OPTIONS), n_rows))
+
+
+def _plan(db, sql):
+    return db.executor.plan_for(parse(sql))
 
 
 def _agree(*args):
-    """``_agree(db, db, ..., sql[, params])`` — execute under every given
-    engine; exact row, column and accounting agreement."""
+    """``_agree(db, db, ..., sql[, params])`` — execute on every given
+    database, and force each database's plan down both pull paths: exact
+    row and column agreement everywhere, identical ``rows_touched``
+    across the paths of one plan, and the first database (default
+    planner) never touching more rows than the others.  Hinted plans are
+    not forced down the chunks path, which ignores the cutoff."""
     if isinstance(args[-1], tuple):
         *dbs, sql, params = args
     else:
         *dbs, sql = args
         params = ()
-    results = [db.execute(sql, params) for db in dbs]
-    first = results[0]
-    for db, other in zip(dbs[1:], results[1:]):
-        assert other.rows == first.rows, db.engine
-        assert other.columns == first.columns, db.engine
-        assert other.rows_touched == first.rows_touched, db.engine
+    first = None
+    for db in dbs:
+        result = db.execute(sql, params)
+        plan = _plan(db, sql)
+        for path in PATHS:
+            if path == "chunks" and plan.limit_hint is not None:
+                continue
+            forced = plan.execute(db, params, path=path)
+            assert forced.rows == result.rows, path
+            assert forced.columns == result.columns, path
+            assert forced.rows_touched == result.rows_touched, path
+        if first is None:
+            first = result
+            continue
+        assert result.rows == first.rows
+        assert result.columns == first.columns
+        assert first.rows_touched <= result.rows_touched
     return first
 
 
@@ -80,15 +101,13 @@ def test_empty_join_sides():
 @pytest.mark.parametrize("size", [1, CHUNK_SIZE - 1, CHUNK_SIZE,
                                   CHUNK_SIZE + 1])
 def test_result_sizes_straddling_chunk_boundary(size):
-    batch_db, columnar_db, row_db = _pair(CHUNK_SIZE + 1)
-    result = _agree(batch_db, columnar_db, row_db,
-                    "SELECT id, v FROM t WHERE id < ?", (size,))
+    dbs = _pair(CHUNK_SIZE + 1)
+    sql = "SELECT id, v FROM t WHERE id < ?"
+    result = _agree(*dbs, sql, (size,))
     assert len(result.rows) == size
     assert result.rows_touched == CHUNK_SIZE + 1
-    # A multi-chunk scan really flowed through the chunked operators.
-    assert batch_db.executor.batches_executed > 0
-    assert columnar_db.executor.batches_executed > 0
-    assert row_db.executor.batches_executed == 0
+    # A multi-chunk scan: both planners run it down the chunks path.
+    assert all(_plan(db, sql).path == "chunks" for db in dbs)
 
 
 def test_limit_cuts_mid_chunk():
@@ -102,19 +121,28 @@ def test_limit_cuts_mid_chunk():
     assert len(result.rows) == 10
 
 
-def test_limit_hint_stops_early_in_all_engines():
+def test_limit_hint_stops_early_on_rows_path():
     """With an ordered index the sort is elided and the limit hint stops
-    the scan after limit+offset rows — the one early-exit in the engine,
-    which must charge identical ``rows_touched`` under every engine."""
+    the scan after limit+offset rows — the one early exit in the engine.
+    Hinted plans run the rows path; the FROM-order plan (no sort
+    elision) sorts a full chunked scan and must return the same rows.
+    Forced down the chunks path, a hinted plan still returns the same
+    rows but reads everything."""
     n = CHUNK_SIZE + 400
     dbs = _pair(n)
     for db in dbs:
         db.execute("CREATE INDEX idx_t_v ON t (v) USING ORDERED")
     for limit in (1, 700, CHUNK_SIZE + 100):
-        result = _agree(*dbs, f"SELECT id, v FROM t ORDER BY v LIMIT {limit}")
+        sql = f"SELECT id, v FROM t ORDER BY v LIMIT {limit}"
+        result = _agree(*dbs, sql)
         assert len(result.rows) == limit
         # Early exit: far fewer rows touched than the full table.
         assert result.rows_touched <= limit + 1
+        hinted = _plan(dbs[0], sql)
+        assert hinted.path == "rows"
+        assert _plan(dbs[1], sql).path == "chunks"
+        full = hinted.execute(dbs[0], path="chunks")
+        assert full.rows == result.rows and full.rows_touched == n
     result = _agree(*dbs, "SELECT id, v FROM t ORDER BY v LIMIT 50 OFFSET 25")
     assert len(result.rows) == 50
     assert result.rows_touched <= 76
@@ -139,7 +167,9 @@ def test_null_heavy_columns():
 
 
 def test_all_null_column():
-    dbs = tuple(Database(result_cache_size=0, engine=e) for e in ENGINES)
+    dbs = (Database(result_cache_size=0),
+           Database(result_cache_size=0,
+                    optimizer_options=FROM_ORDER_OPTIONS))
     for db in dbs:
         db.execute("CREATE TABLE n (id INT PRIMARY KEY, v INT)")
         for i in range(50):
@@ -154,17 +184,18 @@ def test_all_null_column():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["batch", "columnar"])
-def test_zero_copy_scan_does_not_leak_mutable_storage_rows(engine):
+@pytest.mark.parametrize("path", PATHS)
+def test_zero_copy_scan_does_not_leak_mutable_storage_rows(path):
     """Single-table full-width scans hand storage data straight to the
     operators (no ``_pad`` copy); results must still be immutable
     snapshots — a later UPDATE may not rewrite previously returned rows."""
-    db = _seed(Database(result_cache_size=0, engine=engine), 100)
-    before = db.execute("SELECT id, v, s FROM t WHERE id < 10")
+    db = _seed(Database(result_cache_size=0), 100)
+    sql = "SELECT id, v, s FROM t WHERE id < 10"
+    before = _plan(db, sql).execute(db, path=path)
     snapshot = [tuple(r) for r in before.rows]
     db.execute("UPDATE t SET v = 999, s = 'mut' WHERE id < 10")
     assert [tuple(r) for r in before.rows] == snapshot
-    after = db.execute("SELECT id, v, s FROM t WHERE id < 10")
+    after = _plan(db, sql).execute(db, path=path)
     assert all(r[1] == 999 and r[2] == "mut" for r in after.rows)
 
 
@@ -178,98 +209,87 @@ def test_engines_agree_after_interleaved_writes():
 
 
 # ---------------------------------------------------------------------------
-# Observability: engine selection, counters, explain surfaces
+# Path selection and the EXPLAIN ANALYZE surface
 # ---------------------------------------------------------------------------
 
 
+def test_plan_shape_picks_path():
+    """The selection rule: plans whose base access is an index point
+    lookup run the rows path, as do ``limit_hint`` plans; everything else
+    runs the chunks path.  The FROM-order planner keeps scans sequential
+    under joins, so the same statement can take the other path there."""
+    db, from_order = _pair(50)
+    for d in (db, from_order):
+        d.execute("CREATE TABLE u (id INT PRIMARY KEY, w INT)")
+        d.execute("INSERT INTO u (id, w) VALUES (1, 10)")
+    assert _plan(db, "SELECT v FROM t WHERE id = ?").path == "rows"
+    assert _plan(db, "SELECT v FROM t WHERE id IN (1, 2)").path == "rows"
+    assert _plan(db, "SELECT v FROM t WHERE v = ?").path == "chunks"
+    assert _plan(db, "SELECT COUNT(*) FROM t").path == "chunks"
+    join = "SELECT t.id, u.w FROM u JOIN t ON t.v = u.id WHERE u.id = ?"
+    assert _plan(db, join).path == "rows"  # the join hangs off a pk probe
+    assert _plan(from_order, join).path == "chunks"
+    _agree(db, from_order, join, (1,))
+
+
 def test_engine_validation():
+    """The pull path is the only execution selector: an unknown path is
+    rejected naming both, and ``Database`` takes no engine option."""
+    db = _seed(Database(result_cache_size=0), 10)
+    plan = _plan(db, "SELECT id FROM t")
     with pytest.raises(ValueError) as err:
-        Database(engine="vectorised")
-    # The error names every accepted engine.
-    for name in ENGINES:
+        plan.execute(db, path="vectorised")
+    for name in PATHS:
         assert f"'{name}'" in str(err.value)
-    for engine in ENGINES:
-        assert Database(engine=engine).engine == engine
+    with pytest.raises(TypeError):
+        Database(engine="batch")
 
 
 def test_engine_flip_rebinds_chunk_layout():
-    """Flipping ``db.engine`` mid-session re-routes the *cached* plan's
-    compiled closures to the new engine's chunk layout: a write between
-    flips must be visible under every engine, and results must stay
-    identical through columnar -> row -> columnar round trips."""
-    db = _seed(Database(result_cache_size=0, engine="columnar"), 300)
+    """Flipping one *cached* plan between paths re-routes its compiled
+    closures to the other layout: a write made while the rows path runs
+    must be visible when the chunks path resumes (the column snapshot the
+    first chunked execution built is stale by then)."""
+    db = _seed(Database(result_cache_size=0), 300)
     sql = "SELECT id, v, s FROM t WHERE v > ? ORDER BY id"
-    first = db.execute(sql, (40,)).rows
-    db.engine = "row"
-    assert db.execute(sql, (40,)).rows == first
-    # Mutate while the row engine is active: the columnar snapshot built
-    # for the first execution is now stale.
+    plan = _plan(db, sql)
+    assert plan.path == "chunks"
+    first = plan.execute(db, (40,)).rows
+    assert plan.execute(db, (40,), path="rows").rows == first
     db.execute("UPDATE t SET v = 1 WHERE id % 2 = 0")
-    after_write = db.execute(sql, (40,)).rows
+    after_write = plan.execute(db, (40,), path="rows").rows
     assert after_write != first
-    db.engine = "columnar"
+    assert _plan(db, sql) is plan
+    assert plan.execute(db, (40,), path="chunks").rows == after_write
     assert db.execute(sql, (40,)).rows == after_write
-    db.engine = "batch"
-    assert db.execute(sql, (40,)).rows == after_write
-
-
-def test_engine_stats_counts_batches():
-    batch_db, columnar_db, row_db = _pair(CHUNK_SIZE + 1)
-    for db in (batch_db, columnar_db, row_db):
-        db.execute("SELECT id FROM t WHERE v > 10")
-    for db in (batch_db, columnar_db):
-        stats = db.engine_stats()
-        assert stats["engine"] == db.engine
-        assert stats["batches_executed"] > 0
-    assert row_db.engine_stats() == {
-        "engine": "row",
-        "batches_executed": 0,
-        "plans_built": row_db.executor.plans_built,
-    }
 
 
 def test_engine_flippable_between_statements():
-    db = _seed(Database(result_cache_size=0, engine="batch"), 200)
-    batch_rows = db.execute("SELECT id, v FROM t WHERE v > 5").rows
-    flipped_at = db.executor.batches_executed
-    assert flipped_at > 0
-    db.engine = "row"
-    row_rows = db.execute("SELECT id, v FROM t WHERE v > 5").rows
-    assert row_rows == batch_rows
-    # The cached plan served both paths; no batches under the row engine.
-    assert db.executor.batches_executed == flipped_at
-
-
-def test_explain_engine_trailer():
-    db = _seed(Database(engine="batch"), 10)
-    with_params = db.explain("SELECT id FROM t WHERE v > ?", params=(1,))
-    assert "Engine [name='batch', batches_executed=" in with_params
-    # The golden plain-explain surface is unchanged: no Engine line.
-    plain = db.explain("SELECT id FROM t WHERE v > ?")
-    assert "Engine [" not in plain
-    db.engine = "row"
-    assert "Engine [name='row'" in db.explain(
-        "SELECT id FROM t WHERE v > ?", params=(1,))
-    db.engine = "columnar"
-    assert "Engine [name='columnar'" in db.explain(
-        "SELECT id FROM t WHERE v > ?", params=(1,))
+    """One cached plan serves both paths between statements, with no
+    re-plan and identical accounting."""
+    db = _seed(Database(result_cache_size=0), 200)
+    sql = "SELECT id, v FROM t WHERE v > 5"
+    chunk_result = db.execute(sql)
+    built = db.executor.plans_built
+    row_result = _plan(db, sql).execute(db, path="rows")
+    assert row_result.rows == chunk_result.rows
+    assert row_result.rows_touched == chunk_result.rows_touched
+    assert db.executor.plans_built == built
 
 
 def test_explain_analyze_shape():
-    db = _seed(Database(result_cache_size=0, engine="batch"), 500)
+    db = _seed(Database(result_cache_size=0), 500)
     out = db.explain(
         "SELECT s, COUNT(*) FROM t WHERE v > ? GROUP BY s ORDER BY s",
         params=(10,), analyze=True)
     lines = out.splitlines()
-    assert lines[0].startswith("EXPLAIN ANALYZE [engine=batch, rows=")
+    assert lines[0].startswith("EXPLAIN ANALYZE [path=chunks, rows=")
     assert "rows_touched=500" in lines[0]
     assert "total_ms=" in lines[0]
     body = "\n".join(lines[1:])
-    assert "SeqScan(t) [rows=500, chunks=1, time=" in body
+    assert "SeqScan(t) [rows=500, chunks=1, sel=100.0%, time=" in body
     assert "Filter [rows=" in body
     assert "Aggregate [rows=" in body
-    # Batch chunks carry no selection vectors: no density annotation.
-    assert "sel=" not in body
     # Deeper operators are indented further than their consumers.
     scan_line = next(l for l in lines if "SeqScan(t)" in l)
     filter_line = next(l for l in lines if "Filter [" in l)
@@ -278,15 +298,16 @@ def test_explain_analyze_shape():
 
 
 def test_explain_analyze_columnar_chunks_and_density():
-    """Pins the columnar EXPLAIN ANALYZE annotation format: every chunked
+    """Pins the chunks-path EXPLAIN ANALYZE annotation format: every
     source operator reports ``chunks=``; operators that narrow selection
-    vectors report ``sel=`` as live rows over chunk capacity."""
-    db = _seed(Database(result_cache_size=0, engine="columnar"),
-               2 * CHUNK_SIZE)
+    vectors report ``sel=`` as live rows over chunk capacity.  A
+    rows-path plan (a primary-key probe) names its path and carries no
+    chunk annotations at all."""
+    db = _seed(Database(result_cache_size=0), 2 * CHUNK_SIZE)
     out = db.explain("SELECT id FROM t WHERE s = 's1'",
                      params=(), analyze=True)
     lines = out.splitlines()
-    assert lines[0].startswith("EXPLAIN ANALYZE [engine=columnar, rows=")
+    assert lines[0].startswith("EXPLAIN ANALYZE [path=chunks, rows=")
     scan_line = next(l for l in lines if "SeqScan(t)" in l)
     filter_line = next(l for l in lines if "Filter [" in l)
     assert f"SeqScan(t) [rows={2 * CHUNK_SIZE}, chunks=2, sel=100.0%, " \
@@ -294,10 +315,11 @@ def test_explain_analyze_columnar_chunks_and_density():
     # s cycles through 5 labels: the filter keeps exactly 1/5 of rows.
     assert "chunks=2" in filter_line
     assert "sel=20.0%" in filter_line
-    # Row engine output is unchanged: no chunk annotations at all.
-    db.engine = "row"
-    row_out = db.explain("SELECT id FROM t WHERE s = 's1'",
-                         params=(), analyze=True)
+    row_out = db.explain("SELECT id FROM t WHERE id = ?",
+                         params=(7,), analyze=True)
+    assert row_out.splitlines()[0].startswith(
+        "EXPLAIN ANALYZE [path=rows, rows=1, rows_touched=1, ")
+    assert "IndexLookup(t) [rows=1, time=" in row_out
     assert "chunks=" not in row_out
     assert "sel=" not in row_out
 
@@ -306,25 +328,22 @@ def test_explain_analyze_columnar_reports_chunks_skipped():
     """Pins the ``chunks_skipped=`` annotation: a chunk-order-correlated
     range bound lets zone maps prove two of three chunks irrelevant, the
     base scan reports them, and header ``rows_touched`` still charges
-    every storage row (the cost currency is engine-invariant).  The row
-    engine's output carries no chunk annotations at all."""
-    db = _seed(Database(result_cache_size=0, engine="columnar"),
-               3 * CHUNK_SIZE)
+    every storage row (the cost currency is path-invariant): the same
+    plan forced down the rows path charges the same rows."""
+    db = _seed(Database(result_cache_size=0), 3 * CHUNK_SIZE)
     sql = "SELECT id FROM t WHERE id < ? AND v > ?"
     out = db.explain(sql, params=(CHUNK_SIZE, 0), analyze=True)
     assert f"rows_touched={3 * CHUNK_SIZE}" in out.splitlines()[0]
     scan_line = next(l for l in out.splitlines() if "SeqScan(t)" in l)
     assert (f"SeqScan(t) [rows={CHUNK_SIZE}, chunks=1, chunks_skipped=2, "
             f"sel=100.0%, time=") in scan_line
-    db.engine = "row"
-    row_out = db.explain(sql, params=(CHUNK_SIZE, 0), analyze=True)
-    assert f"rows_touched={3 * CHUNK_SIZE}" in row_out.splitlines()[0]
-    assert "chunks_skipped=" not in row_out
-    assert "chunks=" not in row_out and "sel=" not in row_out
+    forced = _plan(db, sql).execute(db, (CHUNK_SIZE, 0), path="rows")
+    assert forced.rows_touched == 3 * CHUNK_SIZE
+    assert forced.chunks_skipped == 0
 
 
 def test_explain_analyze_is_side_effect_light():
-    db = _seed(Database(engine="batch"), 50)
+    db = _seed(Database(), 50)
     statements = db.statements_executed
     db.explain("SELECT id FROM t WHERE v > ?", params=(3,), analyze=True)
     assert db.statements_executed == statements
@@ -335,9 +354,8 @@ def test_explain_analyze_is_side_effect_light():
 
 def test_explain_analyze_rows_match_execution():
     dbs = _pair(800)
-    batch_db = dbs[0]
     sql = "SELECT id, v FROM t WHERE v > ? ORDER BY v LIMIT 20"
     executed = _agree(*dbs, sql, (30,))
-    out = batch_db.explain(sql, params=(30,), analyze=True)
+    out = dbs[0].explain(sql, params=(30,), analyze=True)
     assert f"rows={len(executed.rows)}" in out.splitlines()[0]
     assert f"rows_touched={executed.rows_touched}" in out.splitlines()[0]

@@ -2,9 +2,8 @@
 """Run the wall-clock engine benchmark and write ``BENCH_wallclock.json``.
 
 Times the synthetic scan/filter/join microbench and the three apps'
-report pages under the three physical engines (row-at-a-time
-interpreter, chunked compiled-expression batch engine, columnar chunks
-with fused predicates) via
+report pages on the engine (each plan's own pull path) and on the
+compiled row pull over the same plans via
 ``repro.bench.experiments.wallclock``, prints the comparison table and
 writes the raw numbers as JSON — by default to ``BENCH_wallclock.json``
 at the repo root, the file that tracks the wall-clock trajectory per PR.
@@ -15,12 +14,11 @@ Usage::
     python tools/bench_wallclock.py --smoke    # small/fast (CI)
     python tools/bench_wallclock.py --check    # exit 1 on regression
 
-``--check`` fails if any query's results diverge between engines, if
-the batch engine is slower than the row engine on the scan/filter
-microbench, if the columnar engine is slower than the batch engine
-there, if zone maps skipped no chunks on the range-bounded scan/filter
-microbench, or if the columnar engine is slower than the batch engine
-on the grouped-aggregate microbench — the regression gate the CI
+``--check`` fails if any query's results diverge between the engine and
+the row pull, if the engine's speedup over the row pull on the
+scan/filter or grouped-aggregate microbench falls below its floor
+(``wallclock.SPEEDUP_FLOORS``), or if zone maps skipped no chunks on the
+range-bounded scan/filter microbench — the regression gate the CI
 wallclock job runs.
 """
 
@@ -37,16 +35,16 @@ from repro.bench.experiments import wallclock  # noqa: E402
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Time the row, batch and columnar engines on "
-        "synthetic and app workloads")
+        description="Time the engine against the row pull on synthetic "
+        "and app workloads")
     parser.add_argument(
         "--smoke", action="store_true",
         help="smaller synthetic table and fewer repeats (CI-sized)")
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero if engines disagree, batch is slower than "
-        "row, columnar is slower than batch on the scan/filter or "
-        "grouped-aggregate microbench, or zone maps skipped no chunks")
+        help="exit non-zero if the engine and the row pull disagree, the "
+        "engine/row speedup on scan/filter or the grouped aggregate falls "
+        "below its floor, or zone maps skipped no chunks")
     parser.add_argument(
         "--out", default=os.path.join(REPO_ROOT, "BENCH_wallclock.json"),
         help="output JSON path (default: BENCH_wallclock.json at the "
@@ -61,42 +59,13 @@ def main(argv=None):
     print(f"\nwrote {args.out}")
 
     if args.check:
-        failures = []
-        for name, numbers in result["synthetic"].items():
-            if not numbers["match"]:
-                failures.append(f"synthetic:{name}: engine results diverge")
-        for app, per_app in result["apps"].items():
-            for query_name, numbers in per_app["queries"].items():
-                if not numbers["match"]:
-                    failures.append(
-                        f"{app}:{query_name}: engine results diverge")
-        scan_filter = result["synthetic"]["scan_filter"]
-        if scan_filter["speedup"] is None or scan_filter["speedup"] < 1.0:
-            failures.append(
-                "scan_filter: batch engine slower than row engine "
-                f"(speedup {scan_filter['speedup']})")
-        vs_batch = scan_filter["columnar_vs_batch"]
-        if vs_batch is None or vs_batch < 1.0:
-            failures.append(
-                "scan_filter: columnar engine slower than batch engine "
-                f"(columnar_vs_batch {vs_batch})")
-        if scan_filter["chunks_skipped"] <= 0:
-            failures.append(
-                "scan_filter: zone maps skipped no chunks on the "
-                "range-bounded microbench")
-        group_agg = result["synthetic"]["group_filter_agg"]
-        group_vs_batch = group_agg["columnar_vs_batch"]
-        if group_vs_batch is None or group_vs_batch < 1.0:
-            failures.append(
-                "group_filter_agg: columnar engine slower than batch "
-                f"engine (columnar_vs_batch {group_vs_batch})")
+        failures = wallclock.check(result)
         if failures:
             for failure in failures:
                 print(f"CHECK FAILED: {failure}", file=sys.stderr)
             return 1
-        print("check passed: engines agree, batch >= row and "
-              "columnar >= batch on scan_filter and group_filter_agg, "
-              "zone maps skipped chunks")
+        print("check passed: engine and row pull agree, speedup floors "
+              f"{wallclock.SPEEDUP_FLOORS} held, zone maps skipped chunks")
     return 0
 
 
