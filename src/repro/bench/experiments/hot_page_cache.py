@@ -119,9 +119,9 @@ def _measure_tpcc():
                         server.result_cache_hits,
                         db.total_rows_touched - rows_before_hot, matches),
         # Driver-level counters (what the harness reads): cache hits are
-        # surfaced in DriverStats.snapshot(), not just on the server —
-        # and must agree with the server-side count above.
-        "driver": driver.stats.snapshot(),
+        # surfaced in the driver's stats, not just on the server — and
+        # must agree with the server-side count above.
+        "driver": dict(vars(driver.stats)),
         "cache": db.result_cache_stats(),
     }
 

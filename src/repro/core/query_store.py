@@ -3,7 +3,7 @@
 The query store is the batching mechanism at the heart of Sloth.  It keeps:
 
 - a *buffer* of registered-but-unissued queries (the current batch), each
-  with a unique :class:`QueryId`, and
+  with an ``int`` query id unique within this store, and
 - a *result store* mapping issued query ids to their result sets.
 
 ``register_query`` adds a read to the current batch (deduplicating against
@@ -52,59 +52,16 @@ DEFAULT_PIPELINE_DEPTH = 4
 DEFAULT_RESULT_STORE_LIMIT = 4096
 
 
-class QueryId:
-    """Unique identifier for a query registered with one store.
-
-    Ids are allocated per :class:`QueryStore` (no process-global counter to
-    leak across stores or benchmark runs) and hash/compare by
-    ``(store, value)`` so equal ids from different stores stay distinct.
-    """
-
-    __slots__ = ("store", "value")
-
-    def __init__(self, store, value):
-        self.store = store
-        self.value = value
-
-    def __repr__(self):
-        return f"QueryId({self.value})"
-
-    def __hash__(self):
-        return hash((id(self.store), self.value))
-
-    def __eq__(self, other):
-        return (isinstance(other, QueryId) and other.store is self.store
-                and other.value == self.value)
-
-
 class QueryStoreStats:
-    """Counters the benchmarks read out of a query store."""
+    """What only the store knows.  Round trips, batch sizes and async
+    stalls are the driver's to count (``driver.stats``)."""
+
+    __slots__ = ("queries_registered", "dedup_hits", "results_evicted")
 
     def __init__(self):
         self.queries_registered = 0
         self.dedup_hits = 0
-        self.batches_flushed = 0
-        self.largest_batch = 0
-        self.queries_issued = 0
-        self.async_batches = 0
-        self.stall_ms = 0.0
-        self.overlap_ms = 0.0
-        self.shadowed_ms = 0.0
         self.results_evicted = 0
-
-    def snapshot(self):
-        return {
-            "queries_registered": self.queries_registered,
-            "dedup_hits": self.dedup_hits,
-            "batches_flushed": self.batches_flushed,
-            "largest_batch": self.largest_batch,
-            "queries_issued": self.queries_issued,
-            "async_batches": self.async_batches,
-            "stall_ms": self.stall_ms,
-            "overlap_ms": self.overlap_ms,
-            "shadowed_ms": self.shadowed_ms,
-            "results_evicted": self.results_evicted,
-        }
 
 
 class QueryStore:
@@ -135,13 +92,13 @@ class QueryStore:
         self.async_dispatch = async_dispatch
         self.pipeline_depth = pipeline_depth
         self.result_store_limit = result_store_limit
-        self._buffer = []  # list of (QueryId, sql, params)
+        self._buffer = []  # list of (query id, sql, params)
         self._buffer_has_write = False
-        self._pending_keys = {}  # (sql, params) -> QueryId, for dedup
-        self._results = {}  # QueryId -> ExecResult
-        self._owner = {}  # QueryId -> AsyncCompletion while batch in flight
+        self._pending_keys = {}  # (sql, params) -> query id, for dedup
+        self._results = {}  # query id -> ExecResult
+        self._owner = {}  # query id -> AsyncCompletion while batch in flight
         self._in_flight = []  # AsyncCompletions in dispatch order
-        self._delivered = {}  # QueryId -> None, in delivery (LRU) order
+        self._delivered = {}  # query id -> None, in delivery (LRU) order
         # Outstanding fetches per id, *per request token*: each registration
         # (dedup included) takes a reference under the registering request's
         # token, each delivery releases one from the fetching request's
@@ -150,7 +107,7 @@ class QueryStore:
         # eviction only drops ids with no outstanding reference under any
         # token, so a dedup-shared id spanning requests that drain() at
         # different times survives until every request has fetched.
-        self._refs = {}  # QueryId -> {request token -> outstanding count}
+        self._refs = {}  # query id -> {request token -> outstanding count}
         self._request_token = 0  # high-water mark of issued tokens
         self._active_token = 0  # scope charged by register/fetch right now
         self._next_id = 0
@@ -184,29 +141,29 @@ class QueryStore:
         self._active_token = token
 
     def register_query(self, sql, params=()):
-        """Add a query to the current batch; returns its :class:`QueryId`.
+        """Add a query to the current batch; returns its query id.
 
         Writes flush the batch immediately (including the write itself);
         duplicate pending reads return the already-registered id.
         """
         params = tuple(params)
         self.stats.queries_registered += 1
-        if not is_read_statement(sql):
-            query_id = self._new_id()
-            self._take_ref(query_id)
-            self._buffer.append((query_id, sql, params))
+        is_read = is_read_statement(sql)
+        if is_read:
+            key = (sql, params)
+            existing = self._pending_keys.get(key)
+            if existing is not None:
+                self.stats.dedup_hits += 1
+                self._take_ref(existing)
+                return existing
+        self._next_id += 1
+        query_id = self._next_id
+        self._take_ref(query_id)
+        self._buffer.append((query_id, sql, params))
+        if not is_read:
             self._buffer_has_write = True
             self._flush()
             return query_id
-        key = (sql, params)
-        existing = self._pending_keys.get(key)
-        if existing is not None:
-            self.stats.dedup_hits += 1
-            self._take_ref(existing)
-            return existing
-        query_id = self._new_id()
-        self._take_ref(query_id)
-        self._buffer.append((query_id, sql, params))
         self._pending_keys[key] = query_id
         if (self.auto_flush_threshold is not None
                 and len(self._buffer) >= self.auto_flush_threshold):
@@ -272,10 +229,6 @@ class QueryStore:
 
     # -- internals -------------------------------------------------------------
 
-    def _new_id(self):
-        self._next_id += 1
-        return QueryId(self, self._next_id)
-
     def _take_ref(self, query_id):
         holders = self._refs.setdefault(query_id, {})
         token = self._active_token
@@ -325,9 +278,6 @@ class QueryStore:
                 statements, batch_optimize=self.shared_scans)
             for (query_id, _, _), result in zip(batch, results):
                 self._results[query_id] = result
-        self.stats.batches_flushed += 1
-        self.stats.queries_issued += len(batch)
-        self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
         self._enforce_result_limit()
 
     def _dispatch_async(self, batch, statements):
@@ -340,19 +290,10 @@ class QueryStore:
             self._results[query_id] = result
             self._owner[query_id] = completion
         self._in_flight.append(completion)
-        self.stats.async_batches += 1
 
     def _wait_completion(self, completion):
-        shadowed_before = self.driver.stats.shadowed_ms
-        stall, overlap = self.driver.wait(completion)
-        self.stats.stall_ms += stall
-        self.stats.overlap_ms += overlap
-        self.stats.shadowed_ms += (
-            self.driver.stats.shadowed_ms - shadowed_before)
-        try:
-            self._in_flight.remove(completion)
-        except ValueError:
-            pass
+        self.driver.wait(completion)
+        self._in_flight.remove(completion)
 
     def _evict_delivered(self):
         """Drop delivered results with no outstanding fetch reference."""

@@ -13,15 +13,15 @@ lazy-evaluation overhead accounting), and the optimization flags of §4:
   externally visible effects are deferred whole instead of forcing their
   condition (which would flush pending query batches early).
 
-The application layer (``repro.apps``) calls :meth:`run_ops`,
-:meth:`maybe_force` and :meth:`lazy_call` so the flags change both the CPU
-charge *and* the real batching behaviour, exactly as in the paper's Fig. 12.
+The application layer (``repro.apps``, through
+:class:`repro.web.appserver.RequestContext`) calls :meth:`run_ops`,
+:meth:`defer` and :meth:`branch`, and the ORM calls :meth:`query` /
+:meth:`execute_write`, so the flags change both the CPU charge *and* the
+real batching behaviour, exactly as in the paper's Fig. 12.
 """
 
 from repro.core.query_store import QueryStore
-from repro.core.thunk import (
-    LiteralThunk, QueryThunk, Thunk, ThunkBlock, force,
-)
+from repro.core.thunk import QueryThunk, Thunk, force
 from repro.net.clock import PHASE_APP
 
 
@@ -79,15 +79,6 @@ class RuntimeStats:
         self.branches_deferred = 0
         self.branches_forced = 0
 
-    def snapshot(self):
-        return {
-            "thunks_allocated": self.thunks_allocated,
-            "forces": self.forces,
-            "ops_executed": self.ops_executed,
-            "branches_deferred": self.branches_deferred,
-            "branches_forced": self.branches_forced,
-        }
-
 
 # When thunk coalescing is on, runs of deferrable statements collapse into
 # thunk blocks.  The paper reports the statement-to-thunk ratio after code
@@ -118,7 +109,7 @@ class SlothRuntime:
             async_dispatch=async_dispatch, **store_kwargs)
         self.stats = RuntimeStats()
 
-    # -- overhead accounting hooks (called by Thunk/ThunkBlock) ---------------
+    # -- overhead accounting hooks (called by Thunk and force) -----------------
 
     def on_thunk_allocated(self):
         self.stats.thunks_allocated += 1
@@ -130,21 +121,11 @@ class SlothRuntime:
 
     # -- building blocks used by Sloth-compiled application code ---------------
 
-    def literal(self, value):
-        """Wrap an external call's result (§3.4)."""
-        return LiteralThunk(value, runtime=self)
-
     def defer(self, fn):
         """Defer a single computation into a thunk."""
         if not self.lazy_mode:
             return fn()
         return Thunk(fn, runtime=self)
-
-    def defer_block(self, fn):
-        """Defer a block with named outputs (dict) into a ThunkBlock."""
-        if not self.lazy_mode:
-            return fn()
-        return ThunkBlock(fn, runtime=self)
 
     def query(self, sql, params=(), deserialize=None):
         """Register a read and return its thunk (§3.3).
@@ -152,19 +133,17 @@ class SlothRuntime:
         In non-lazy (original application) mode the query executes
         immediately through the same store, costing one round trip.
         """
-        if not self.lazy_mode:
-            thunk = QueryThunk(self.query_store, sql, params, deserialize)
-            return thunk.force()
-        return QueryThunk(self.query_store, sql, params, deserialize,
-                          runtime=self)
+        if self.lazy_mode:
+            return QueryThunk(self.query_store, sql, params, deserialize,
+                              runtime=self)
+        store = self.query_store
+        result = store.get_result_set(store.register_query(sql, params))
+        return result if deserialize is None else deserialize(result)
 
     def execute_write(self, sql, params=()):
-        """Writes are never deferred: register (which flushes) and force."""
-        thunk = QueryThunk(self.query_store, sql, params)
-        return thunk.force()
-
-    def force(self, value):
-        return force(value)
+        """Writes are never deferred: register (which flushes) and fetch."""
+        store = self.query_store
+        return store.get_result_set(store.register_query(sql, params))
 
     # -- modelled application work ---------------------------------------------
 

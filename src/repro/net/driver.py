@@ -49,21 +49,6 @@ class DriverStats:
         self.statements += batch_size
         self.largest_batch = max(self.largest_batch, batch_size)
 
-    def snapshot(self):
-        return {
-            "round_trips": self.round_trips,
-            "statements": self.statements,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-            "shared_scan_groups": self.shared_scan_groups,
-            "shared_scan_rows_saved": self.shared_scan_rows_saved,
-            "result_cache_hits": self.result_cache_hits,
-            "async_batches": self.async_batches,
-            "stall_ms": self.stall_ms,
-            "overlap_ms": self.overlap_ms,
-            "shadowed_ms": self.shadowed_ms,
-        }
-
 
 class Driver:
     """One statement per round trip (the original applications' driver)."""

@@ -147,6 +147,10 @@ class EntityInfo:
                 f"primary-key Column, found {len(pks)}")
         self.pk = pks[0]
         self.column_names = [c.column for c in columns]
+        # Every ORM SELECT projects ``select_list``, so result rows line up
+        # with ``columns``: attributes are zipped on, the pk read by index.
+        self.attribute_names = [c.name for c in columns]
+        self.pk_index = columns.index(self.pk)
 
     @property
     def select_list(self):

@@ -18,8 +18,7 @@ Both backends share deserialization, so the two application variants differ
 only in query timing — exactly the comparison the paper's evaluation makes.
 """
 
-from repro.core.proxy import LazyProxy
-from repro.core.thunk import QueryThunk, Thunk, force
+from repro.core.thunk import LazyProxy, QueryThunk, Thunk, force
 from repro.orm.errors import EntityNotFound, MappingError
 from repro.orm.mapping import EAGER, ManyToOne, OneToMany
 
@@ -94,8 +93,6 @@ class Session:
             entities = self._deserialize_many(cls, result_set)
             return entities[0] if entities else None
 
-        if self.backend.lazy_mode:
-            return self.backend.read_eager(sql, (pk,), _one)
         return self.backend.read_eager(sql, (pk,), _one)
 
     def get(self, cls, pk):
@@ -202,19 +199,17 @@ class Session:
         and triggering EAGER relation loads (paper §6.1: eager fetching
         issues queries whether or not the data is used)."""
         info = cls.__info__
-        by_name = {}
-        for i, name in enumerate(result_set.columns):
-            by_name[name] = i
+        pk_index = info.pk_index
+        names = info.attribute_names
         entities = []
         for row in result_set.rows:
-            pk_value = row[by_name[info.pk.column]]
+            pk_value = row[pk_index]
             cached = self.identity_map.get((cls, pk_value))
             if cached is not None:
                 entities.append(cached)
                 continue
             entity = cls.__new__(cls)
-            for column in info.columns:
-                entity.__dict__[column.name] = row[by_name[column.column]]
+            entity.__dict__.update(zip(names, row))
             self._attach(entity)
             self.identity_map[(cls, pk_value)] = entity
             for relation in info.relations:
@@ -257,10 +252,9 @@ class Query:
         self._offset = n
         return self
 
-    def _sql(self, select_list=None):
+    def _sql(self):
         info = self.cls.__info__
-        sql = (f"SELECT {select_list or info.select_list} "
-               f"FROM {info.table}")
+        sql = f"SELECT {info.select_list} FROM {info.table}"
         if self._where:
             sql += " WHERE " + " AND ".join(self._where)
         if self._order_by:

@@ -201,9 +201,7 @@ class AppServer:
         # Template thunks come from the extended JSP writer's pre-allocated
         # buffer (paper §5, writeThunk); their cost is the per-node render
         # charge below, not a per-thunk allocation.
-        render_runtime = None
-        scope = dict(mav.model)
-        template.render(scope, writer, runtime=render_runtime,
+        template.render(mav.model, writer,
                         lazy_mode=(self.mode == MODE_SLOTH))
         # Rendering itself costs CPU proportional to the page size.
         self.clock.charge(

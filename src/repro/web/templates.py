@@ -27,7 +27,8 @@ conditions.
 
 import re
 
-from repro.core.thunk import Thunk, force
+from repro.core.thunk import Thunk, force, is_thunk
+from repro.web.writer import to_text
 
 
 class TemplateError(Exception):
@@ -44,15 +45,16 @@ class Template:
         self.name = name
         self.nodes = _parse(_tokenize(source), name)
 
-    def render(self, scope, writer, runtime=None, lazy_mode=False):
+    def render(self, scope, writer, lazy_mode=False):
         """Render into ``writer``.
 
-        ``lazy_mode`` selects Sloth semantics (defer ``{{ }}`` to flush);
-        ``runtime`` (optional) charges thunk-allocation overhead.
+        ``lazy_mode`` selects Sloth semantics (defer ``{{ }}`` to flush).
+        Template thunks are not charged to a runtime: they come from the
+        writer's pre-allocated buffer (paper §5, ``writeThunk``).
         """
         frame = dict(scope)
         for node in self.nodes:
-            node.render(frame, writer, runtime, lazy_mode)
+            node.render(frame, writer, lazy_mode)
 
 
 def _tokenize(source):
@@ -117,26 +119,17 @@ def _compile_path(expr, name):
     return tuple(expr.split("."))
 
 
-def _lookup(scope, path):
-    """Resolve a dotted path; forces intermediate thunks/proxies."""
+def _root(scope, path):
+    """The scope variable a dotted path starts from."""
     head = path[0]
     if head not in scope:
         raise TemplateError(f"unknown template variable {head!r}")
-    value = scope[head]
-    for segment in path[1:]:
-        value = force(value)
-        if value is None:
-            return None
-        if isinstance(value, dict):
-            value = value.get(segment)
-        else:
-            try:
-                value = getattr(value, segment)
-            except AttributeError:
-                raise TemplateError(
-                    f"{type(value).__name__} has no attribute "
-                    f"{segment!r}") from None
-    return value
+    return scope[head]
+
+
+def _lookup(scope, path):
+    """Resolve a dotted path, forcing every step (eager evaluation)."""
+    return _walk(_root(scope, path), path[1:])
 
 
 def _lookup_until_delayed(scope, path):
@@ -147,12 +140,7 @@ def _lookup_until_delayed(scope, path):
     return proxies (relation registration fires here) — those are returned
     undisturbed, never forced.
     """
-    from repro.core.thunk import is_thunk
-
-    head = path[0]
-    if head not in scope:
-        raise TemplateError(f"unknown template variable {head!r}")
-    value = scope[head]
+    value = _root(scope, path)
     for i, segment in enumerate(path[1:], start=1):
         if is_thunk(value):
             return value, path[i:]
@@ -163,7 +151,8 @@ def _lookup_until_delayed(scope, path):
 
 
 def _walk(value, path):
-    """Forced traversal of the remaining path segments (flush time)."""
+    """Forced traversal of ``path`` from ``value``; returns the forced end
+    value (``None`` as soon as a segment is ``None``)."""
     for segment in path:
         value = force(value)
         if value is None:
@@ -188,7 +177,7 @@ class _TextNode:
     def __init__(self, text):
         self.text = text
 
-    def render(self, scope, writer, runtime, lazy_mode):
+    def render(self, scope, writer, lazy_mode):
         writer.write(self.text)
 
 
@@ -198,7 +187,7 @@ class _VarNode:
     def __init__(self, path):
         self.path = path
 
-    def render(self, scope, writer, runtime, lazy_mode):
+    def render(self, scope, writer, lazy_mode):
         if lazy_mode:
             # Sloth: walk the path eagerly while values are concrete — this
             # is what *registers* relation queries during rendering, exactly
@@ -207,14 +196,11 @@ class _VarNode:
             # the first delayed value and defer the rest of the path.
             value, remainder = _lookup_until_delayed(scope, self.path)
             if remainder:
-                writer.write_thunk(Thunk(
-                    lambda: _walk(force(value), remainder),
-                    runtime=runtime))
+                writer.write_thunk(Thunk(lambda: _walk(value, remainder)))
             else:
-                writer.write_thunk(Thunk(lambda: value, runtime=runtime))
+                writer.write_thunk(Thunk(lambda: value))
         else:
-            value = force(_lookup(scope, self.path))
-            writer.write("" if value is None else _text(value))
+            writer.write(to_text(_lookup(scope, self.path)))
 
 
 class _ForNode:
@@ -225,14 +211,14 @@ class _ForNode:
         self.path = path
         self.body = body
 
-    def render(self, scope, writer, runtime, lazy_mode):
-        collection = force(_lookup(scope, self.path))
+    def render(self, scope, writer, lazy_mode):
+        collection = _lookup(scope, self.path)
         if collection is None:
             return
         for item in collection:
             scope[self.var] = item
             for node in self.body:
-                node.render(scope, writer, runtime, lazy_mode)
+                node.render(scope, writer, lazy_mode)
         scope.pop(self.var, None)
 
 
@@ -245,17 +231,10 @@ class _IfNode:
         self.body = body
         self.orelse = orelse
 
-    def render(self, scope, writer, runtime, lazy_mode):
-        value = force(_lookup(scope, self.path))
-        truthy = bool(value)
+    def render(self, scope, writer, lazy_mode):
+        truthy = bool(_lookup(scope, self.path))
         if self.negated:
             truthy = not truthy
         branch = self.body if truthy else self.orelse
         for node in branch:
-            node.render(scope, writer, runtime, lazy_mode)
-
-
-def _text(value):
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)
+            node.render(scope, writer, lazy_mode)

@@ -35,7 +35,7 @@ class ThunkWriter:
         parts = []
         for piece in self._buffer:
             if isinstance(piece, _Deferred):
-                piece = _to_text(force(piece.value))
+                piece = to_text(force(piece.value))
             parts.append(piece)
         self._flushed = True
         return "".join(parts)
@@ -52,7 +52,9 @@ class _Deferred:
         self.value = value
 
 
-def _to_text(value):
+def to_text(value):
+    """How a value appears on the page (``None`` as nothing, floats in
+    ``%g`` form)."""
     if value is None:
         return ""
     if isinstance(value, str):

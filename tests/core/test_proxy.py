@@ -1,5 +1,8 @@
-from repro.core.proxy import LazyProxy, lazy, unwrap
-from repro.core.thunk import Thunk
+from repro.core.thunk import LazyProxy, Thunk, force
+
+
+def lazy(fn):
+    return LazyProxy(Thunk(fn))
 
 
 def test_proxy_defers_until_used():
@@ -71,9 +74,11 @@ def test_proxy_call():
 
 
 def test_unwrap():
-    assert unwrap(lazy(lambda: 5)) == 5
-    assert unwrap(Thunk(lambda: 6)) == 6
-    assert unwrap(7) == 7
+    # force unwraps proxies and thunks and passes plain values through.
+    assert force(lazy(lambda: 5)) == 5
+    assert force(Thunk(lambda: 6)) == 6
+    assert force(7) == 7
+    assert force(LazyProxy(Thunk(lambda: lazy(lambda: 8)))) == 8
 
 
 def test_proxy_forces_once():

@@ -60,15 +60,15 @@ def test_write_flushes_immediately_preserving_order(store):
 
 def test_unknown_id_raises(store):
     qs, _ = store
-    from repro.core.query_store import QueryId
-
     with pytest.raises(KeyError):
-        qs.get_result_set(QueryId(qs, 999_999))
+        qs.get_result_set(999_999)
 
 
 class TestQueryIdScoping:
-    """Ids are per-store: no mutable class-level counter leaking across
-    stores or benchmark runs."""
+    """Ids are plain ints counted per store: no mutable class-level counter
+    leaking across stores or benchmark runs, and equal ids from different
+    stores never meet, because a query thunk reads only from its own
+    store."""
 
     def test_counters_are_independent_across_stores(self, sim_stack):
         db, clock, server, driver, batch_driver = sim_stack
@@ -77,18 +77,33 @@ class TestQueryIdScoping:
         b = QueryStore(batch_driver)
         id_a = a.register_query("SELECT v FROM t WHERE id = 1")
         id_b = b.register_query("SELECT v FROM t WHERE id = 1")
-        assert id_a.value == 1
-        assert id_b.value == 1
+        # Each store starts its own count at 1.
+        assert id_a == id_b == 1
+        assert a.register_query("SELECT v FROM t WHERE id = 2") == 2
+        assert b.register_query("SELECT v FROM t WHERE id = 3") == 2
 
-    def test_same_value_different_store_not_equal(self, sim_stack):
-        db, clock, server, driver, batch_driver = sim_stack
-        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        a = QueryStore(batch_driver)
-        b = QueryStore(batch_driver)
-        id_a = a.register_query("SELECT v FROM t WHERE id = 1")
-        id_b = b.register_query("SELECT v FROM t WHERE id = 1")
-        assert id_a != id_b
-        assert hash(id_a) != hash(id_b)
+    def test_equal_ids_in_two_stores_read_their_own_rows(self):
+        from repro.core.thunk import QueryThunk, force
+        from repro.net.clock import CostModel, SimClock
+        from repro.net.driver import BatchDriver
+        from repro.net.server import DatabaseServer
+        from repro.sqldb import Database
+
+        def store_over(value):
+            db = Database()
+            db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            db.execute("INSERT INTO t (id, v) VALUES (1, ?)", (value,))
+            clock = SimClock()
+            server = DatabaseServer(db, CostModel())
+            return QueryStore(BatchDriver(server, clock))
+
+        sql = "SELECT v FROM t WHERE id = 1"
+        a, b = store_over(10), store_over(20)
+        thunk_a = QueryThunk(a, sql)
+        thunk_b = QueryThunk(b, sql)
+        assert thunk_a.query_id == thunk_b.query_id
+        assert force(thunk_b).scalar() == 20
+        assert force(thunk_a).scalar() == 10
 
     def test_equal_ids_hash_equal(self, sim_stack):
         db, clock, server, driver, batch_driver = sim_stack
@@ -106,13 +121,14 @@ def test_flush_noop_when_empty(store):
 
 
 def test_batch_size_tracking(store):
-    qs, _ = store
+    qs, driver = store
     ids = [qs.register_query("SELECT v FROM t WHERE id = ?", (i,))
            for i in range(4)]
     qs.get_result_set(ids[0])
-    assert qs.stats.largest_batch == 4
-    assert qs.stats.batches_flushed == 1
-    assert qs.stats.queries_issued == 4
+    # Batch counters belong to the driver the store flushes through.
+    assert driver.stats.largest_batch == 4
+    assert driver.stats.batches == 1
+    assert driver.stats.statements == 4
 
 
 class TestResultStoreBounded:
@@ -260,14 +276,14 @@ class TestAsyncDispatch:
         clock.charge("app", completion.in_flight_ms / 2)
         assert qs.get_result_set(ids[0]).scalar() == 0
         assert qs.in_flight_count == 0
-        assert qs.stats.stall_ms == pytest.approx(
+        assert driver.stats.stall_ms == pytest.approx(
             completion.in_flight_ms / 2)
-        assert qs.stats.overlap_ms == pytest.approx(
+        assert driver.stats.overlap_ms == pytest.approx(
             completion.in_flight_ms / 2)
         # The second member of the batch is already there: no extra wait.
-        stall_before = qs.stats.stall_ms
+        stall_before = driver.stats.stall_ms
         assert qs.get_result_set(ids[1]).scalar() == 10
-        assert qs.stats.stall_ms == stall_before
+        assert driver.stats.stall_ms == stall_before
 
     def test_fully_overlapped_batch_stalls_nothing(self, sim_stack):
         qs, driver, clock = self._stack(sim_stack)
@@ -275,8 +291,8 @@ class TestAsyncDispatch:
                for i in range(2)]
         clock.charge("app", 1e6)  # plenty of concurrent app progress
         qs.get_result_set(ids[0])
-        assert qs.stats.stall_ms == 0.0
-        assert qs.stats.overlap_ms > 0.0
+        assert driver.stats.stall_ms == 0.0
+        assert driver.stats.overlap_ms > 0.0
         assert clock.phase_time("network") == 0.0
 
     def test_pipeline_depth_bounds_in_flight(self, sim_stack):
@@ -287,7 +303,7 @@ class TestAsyncDispatch:
         # room (their stall shows up in the stats).
         assert qs.in_flight_count <= 2
         assert driver.stats.async_batches == 4
-        assert qs.stats.stall_ms > 0
+        assert driver.stats.stall_ms > 0
 
     def test_write_barriers_on_in_flight_batches(self, sim_stack):
         qs, driver, clock = self._stack(sim_stack)

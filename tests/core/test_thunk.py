@@ -1,7 +1,7 @@
 import pytest
 
 from repro.core.thunk import (
-    LiteralThunk, Thunk, ThunkBlock, force, force_deep, is_thunk,
+    LazyProxy, QueryThunk, Thunk, force, force_deep, is_thunk,
 )
 
 
@@ -15,21 +15,75 @@ def test_thunk_defers_and_memoizes():
     assert calls == [1]
 
 
-def test_underscore_force_alias():
-    t = Thunk(lambda: 7)
-    assert t._force() == 7
-
-
 def test_chained_thunks_collapse():
     inner = Thunk(lambda: 5)
     outer = Thunk(lambda: inner)
     assert outer.force() == 5
 
 
-def test_literal_thunk():
-    t = LiteralThunk("x")
-    assert t.is_forced
-    assert t.force() == "x"
+def test_long_chain_forces_without_recursion_and_memoizes_every_link():
+    # Each link's body returns the previous link (every other one wrapped
+    # in a proxy): one force resolves 5,000 links in a loop, not 5,000
+    # nested calls, and leaves every link holding the plain value.
+    calls = []
+    links = [Thunk(lambda: calls.append(0) or "end")]
+    for i in range(1, 5000):
+        prev = links[-1] if i % 2 else LazyProxy(links[-1])
+        links.append(Thunk(lambda prev=prev: calls.append(1) or prev))
+    assert force(links[-1]) == "end"
+    assert len(calls) == 5000
+    assert all(link.is_forced and link.force() == "end" for link in links)
+    assert len(calls) == 5000  # memoized: no body runs twice
+
+
+def test_failed_body_reraises_is_charged_per_attempt_and_retries(
+        sim_stack):
+    from repro.core.runtime import SlothRuntime
+
+    db, clock, server, driver, batch_driver = sim_stack
+    runtime = SlothRuntime(batch_driver, clock, server.cost_model)
+    force_ms = server.cost_model.force_ms
+    attempts = []
+
+    def body():
+        attempts.append(1)
+        if len(attempts) == 1:
+            raise ValueError("boom")
+        return 7
+
+    # The failing link sits inside a chain: the outer thunk's body returns
+    # it, so a failure leaves the outer thunk unforced as well.
+    inner = runtime.defer(body)
+    outer_runs = []
+    outer = runtime.defer(lambda: outer_runs.append(1) or inner)
+    before = clock.phase_time("app")
+    with pytest.raises(ValueError):
+        force(outer)
+    assert not inner.is_forced and not outer.is_forced
+    assert clock.phase_time("app") - before == pytest.approx(2 * force_ms)
+    assert runtime.stats.forces == 2
+    before = clock.phase_time("app")
+    assert force(outer) == 7
+    assert attempts == [1, 1] and outer_runs == [1, 1]
+    assert clock.phase_time("app") - before == pytest.approx(2 * force_ms)
+    assert runtime.stats.forces == 4
+    # Forced now: later forces are free.
+    before = clock.phase_time("app")
+    assert outer.force() == 7 and inner.force() == 7
+    assert clock.phase_time("app") == before
+    assert runtime.stats.forces == 4
+
+
+def test_query_thunk_repr_names_its_int_id(sim_stack):
+    from repro.core.query_store import QueryStore
+
+    db, clock, server, driver, batch_driver = sim_stack
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+    thunk = QueryThunk(QueryStore(batch_driver), "SELECT id FROM t")
+    assert thunk.query_id == 1
+    assert repr(thunk) == "QueryThunk(id=1, pending)"
+    force(thunk)
+    assert repr(thunk) == "QueryThunk(id=1, forced)"
 
 
 def test_force_passthrough_for_plain_values():
@@ -39,29 +93,10 @@ def test_force_passthrough_for_plain_values():
 
 def test_is_thunk():
     assert is_thunk(Thunk(lambda: 1))
-    assert is_thunk(LiteralThunk(1))
+    proxy = LazyProxy(Thunk(lambda: 1))
+    assert is_thunk(proxy)
+    assert not object.__getattribute__(proxy, "_thunk").is_forced
     assert not is_thunk(42)
-
-
-def test_thunk_block_runs_once_for_all_outputs():
-    calls = []
-
-    def body():
-        calls.append(1)
-        return {"a": 1, "b": Thunk(lambda: 2)}
-
-    block = ThunkBlock(body)
-    a = block.output("a")
-    b = block.output("b")
-    assert b.force() == 2  # nested thunk output is collapsed
-    assert a.force() == 1
-    assert calls == [1]
-
-
-def test_thunk_block_requires_dict():
-    block = ThunkBlock(lambda: [1, 2])
-    with pytest.raises(TypeError):
-        block.force_block()
 
 
 def test_force_deep_containers():
@@ -85,50 +120,6 @@ def test_force_deep_nested_containers():
 def test_force_deep_forces_dict_keys():
     value = {Thunk(lambda: "k"): Thunk(lambda: "v")}
     assert force_deep(value) == {"k": "v"}
-
-
-def test_thunk_block_non_dict_variants():
-    for bad_body in (lambda: [1, 2], lambda: None, lambda: 42,
-                     lambda: (("a", 1),)):
-        block = ThunkBlock(bad_body)
-        with pytest.raises(TypeError):
-            block.force_block()
-
-
-def test_thunk_block_failed_body_can_retry():
-    calls = []
-
-    def body():
-        calls.append(1)
-        raise TypeError("boom")
-
-    block = ThunkBlock(body)
-    with pytest.raises(TypeError):
-        block.force_block()
-    assert not block.is_forced  # a failed body does not poison the block
-    with pytest.raises(TypeError):
-        block.force_block()
-    assert calls == [1, 1]
-
-
-def test_thunk_block_forced_once_across_many_outputs_and_forces():
-    calls = []
-
-    def body():
-        calls.append(1)
-        return {"a": 1, "b": 2, "c": Thunk(lambda: 3)}
-
-    block = ThunkBlock(body)
-    outputs = [block.output(name) for name in ("a", "b", "c", "a")]
-    assert [t.force() for t in outputs] == [1, 2, 3, 1]
-    assert [t.force() for t in outputs] == [1, 2, 3, 1]  # memoized
-    assert calls == [1]
-
-
-def test_thunk_block_unknown_output_raises_keyerror():
-    block = ThunkBlock(lambda: {"a": 1})
-    with pytest.raises(KeyError):
-        block.output("missing").force()
 
 
 def test_runtime_accounting(sim_stack):
